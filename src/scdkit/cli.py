@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -54,26 +55,42 @@ def _costs_arg(text: str) -> AlignmentCosts:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _nbest_n_arg(text: str) -> Optional[int]:
-    if text.upper() == "ALL":
-        return None
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _nonneg_float(text: str) -> float:
+    v = _finite_float(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return v
+
+
+def _positive_float(text: str) -> float:
+    v = _finite_float(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return v
+
+
+def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or ALL, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive count, got {n}")
     return n
 
 
-def _nonneg_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return v
+def _nbest_n_arg(text: str) -> Optional[int]:
+    return None if text.upper() == "ALL" else _positive_int(text)
 
 
 def _read_text(path: str) -> str:
@@ -148,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: the reference's own words)")
     p.add_argument("--edit-budget", type=int, default=1, choices=[1, 2, 3],
                    help="candidate edits away from the reference (default 1)")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.5, help="learning rate (default 0.5)")
+    p.add_argument("--steps", type=_positive_int, default=500)
+    p.add_argument("--lr", type=_positive_float, default=0.5, help="learning rate (default 0.5)")
     p.add_argument("--lambda", dest="nll_weight", type=_nonneg_float, default=0.03)
     p.add_argument("--nbest-n", type=_nbest_n_arg, default="ALL", metavar="N|ALL",
                    help="risk is summed over the N top-scoring candidates")

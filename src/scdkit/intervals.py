@@ -82,6 +82,3 @@ class IntervalSet:
 
     def intersects(self, start: float, end: float) -> bool:
         return any(iv.intersects(start, end) for iv in self._intervals)
-
-    def contains_point(self, t: float) -> bool:
-        return any(iv.start <= t <= iv.end for iv in self._intervals)

@@ -12,10 +12,16 @@ prediction matches it.
 Purity and coverage score the mono-speaker side: each reference segment
 is credited with its best-overlapping hypothesis segment (the span cut
 at the predicted change points) and vice versa.
+
+All three computations are sorted sweeps that only visit pairs that can
+match or overlap, so scoring S segments against P predictions takes
+O((S+P) log(S+P)) time for a bounded number of concurrent speakers.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +37,9 @@ class SpeakerSegment:
     def __post_init__(self) -> None:
         if not self.speaker:
             raise ValueError("speaker id must be non-empty")
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(
+                f"segment [{self.start}, {self.end}] of {self.speaker!r} is not finite")
         if self.start < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
         if self.end <= self.start:
@@ -70,6 +79,8 @@ class ChangeHypothesis:
 
     def __post_init__(self) -> None:
         stamps = tuple(sorted(set(self.timestamps)))
+        if not all(math.isfinite(t) for t in stamps):
+            raise ValueError(f"timestamps of {self.recording_id!r} must be finite")
         object.__setattr__(self, "timestamps", stamps)
 
 
@@ -90,6 +101,39 @@ class PrecisionRecallReport:
     # raw duration sums, kept so corpus-level pooling can aggregate counts
     hit_duration: float = 0.0
     total_duration: float = 0.0
+
+    @classmethod
+    def from_counts(cls, *, n_kept: int, n_dropped: int, n_correct: int, n_intervals: int,
+                    n_hit: int, hit_duration: float, total_duration: float,
+                    collar: float) -> "PrecisionRecallReport":
+        """Rates and F1 from raw counts.
+
+        A rate whose denominator is zero is None; F1 is None when either
+        rate is None or both are 0.
+        """
+        precision = n_correct / n_kept if n_kept > 0 else None
+        recall_count = n_hit / n_intervals if n_intervals > 0 else None
+        recall_duration = hit_duration / total_duration if total_duration > 0 else None
+        if precision is None or recall_count is None or (precision == 0 and recall_count == 0):
+            f1 = None
+        else:
+            f1 = f1_score(precision, recall_count)
+        return cls(
+            precision=precision,
+            recall_count=recall_count,
+            recall_duration=recall_duration,
+            f1=f1,
+            n_predictions_kept=n_kept,
+            n_predictions_dropped=n_dropped,
+            n_correct=n_correct,
+            n_fa=n_kept - n_correct,
+            n_intervals=n_intervals,
+            n_hit=n_hit,
+            n_fr=n_intervals - n_hit,
+            collar=collar,
+            hit_duration=hit_duration,
+            total_duration=total_duration,
+        )
 
 
 @dataclass(frozen=True)
@@ -116,6 +160,8 @@ def merge_speaker_gaps(annotation: Annotation, gap_merge: float) -> Annotation:
 
     ``gap_merge`` <= 0 returns the annotation unchanged.
     """
+    if not math.isfinite(gap_merge):
+        raise ValueError(f"gap_merge must be finite, got {gap_merge}")
     if gap_merge <= 0:
         return annotation
     by_speaker: Dict[str, List[SpeakerSegment]] = {}
@@ -151,25 +197,28 @@ def _coverage_pieces(annotation: Annotation) -> List[Tuple[float, float, int]]:
     gaps between consecutive boundaries, in time order.  Within each piece
     the number of covering speakers is constant, and closed-interval
     endpoint coverage is accounted for by the point pieces.
+
+    One sweep over the sorted boundaries keeps a running count of open
+    intervals.  Each speaker's coverage is normalized, so its intervals
+    neither overlap nor touch and the count is the number of speakers: at
+    a boundary it is the intervals still open plus those starting there,
+    and on the following gap it loses those ending there.
     """
-    coverage = speaker_coverage(annotation)
-    bounds = sorted({b for ivs in coverage.values() for iv in ivs for b in (iv.start, iv.end)})
+    starts: Dict[float, int] = {}
+    ends: Dict[float, int] = {}
+    for ivs in speaker_coverage(annotation).values():
+        for iv in ivs:
+            starts[iv.start] = starts.get(iv.start, 0) + 1
+            ends[iv.end] = ends.get(iv.end, 0) + 1
+    bounds = sorted(starts.keys() | ends.keys())
     pieces: List[Tuple[float, float, int]] = []
-
-    def count_at_point(t: float) -> int:
-        return sum(1 for ivs in coverage.values() if ivs.contains_point(t))
-
-    def count_on_open(lo: float, hi: float) -> int:
-        # elementary: a speaker either covers all of (lo, hi) or none of it
-        return sum(
-            1 for ivs in coverage.values()
-            if any(iv.start <= lo and hi <= iv.end for iv in ivs))
-
+    active = 0
     for idx, b in enumerate(bounds):
-        pieces.append((b, b, count_at_point(b)))
+        at_point = active + starts.get(b, 0)
+        pieces.append((b, b, at_point))
+        active = at_point - ends.get(b, 0)
         if idx + 1 < len(bounds):
-            nxt = bounds[idx + 1]
-            pieces.append((b, nxt, count_on_open(b, nxt)))
+            pieces.append((b, bounds[idx + 1], active))
     return pieces
 
 
@@ -221,52 +270,40 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     if annotation.recording_id != hypothesis.recording_id:
         raise ValueError(
             f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
-    if collar < 0:
-        raise ValueError(f"collar must be >= 0, got {collar}")
+    if not (math.isfinite(collar) and collar >= 0):
+        raise ValueError(f"collar must be finite and >= 0, got {collar}")
     ann = merge_speaker_gaps(annotation, gap_merge)
     intervals = change_intervals(ann)
     kept, dropped = _split_hypothesis(hypothesis, ann.t_min, ann.t_max)
 
-    n_correct = 0
+    # The change intervals are sorted and disjoint, so those touching the
+    # window [t - collar, t + collar] form one run: from the first ending at
+    # or after t - collar to the last starting at or before t + collar.
+    # Kept predictions are sorted, so the runs only move right and each
+    # interval is marked hit at most once.
+    starts = [iv.start for iv in intervals]
+    ends = [iv.end for iv in intervals]
     hit = [False] * len(intervals)
+    n_correct = 0
+    marked = 0
     for t in kept:
-        lo, hi = t - collar, t + collar
-        matched = False
-        for idx, iv in enumerate(intervals.intervals):
-            if iv.intersects(lo, hi):
-                hit[idx] = True
-                matched = True
-        if matched:
+        first = bisect_left(ends, t - collar)
+        last = bisect_right(starts, t + collar)
+        if first < last:
             n_correct += 1
+            for idx in range(max(first, marked), last):
+                hit[idx] = True
+            marked = last
 
-    n_kept = len(kept)
-    n_intervals = len(intervals)
-    n_hit = sum(hit)
-    total_dur = intervals.total_duration
-    hit_dur = sum(iv.duration for iv, h in zip(intervals.intervals, hit) if h)
-
-    precision = n_correct / n_kept if n_kept > 0 else None
-    recall_count = n_hit / n_intervals if n_intervals > 0 else None
-    recall_duration = hit_dur / total_dur if total_dur > 0 else None
-    if precision is None or recall_count is None or (precision == 0 and recall_count == 0):
-        f1 = None
-    else:
-        f1 = f1_score(precision, recall_count)
-    return PrecisionRecallReport(
-        precision=precision,
-        recall_count=recall_count,
-        recall_duration=recall_duration,
-        f1=f1,
-        n_predictions_kept=n_kept,
-        n_predictions_dropped=dropped,
+    return PrecisionRecallReport.from_counts(
+        n_kept=len(kept),
+        n_dropped=dropped,
         n_correct=n_correct,
-        n_fa=n_kept - n_correct,
-        n_intervals=n_intervals,
-        n_hit=n_hit,
-        n_fr=n_intervals - n_hit,
+        n_intervals=len(intervals),
+        n_hit=sum(hit),
+        hit_duration=sum(iv.duration for iv, h in zip(intervals, hit) if h),
+        total_duration=intervals.total_duration,
         collar=collar,
-        hit_duration=hit_dur,
-        total_duration=total_dur,
     )
 
 
@@ -295,18 +332,33 @@ def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
         raise ValueError(
             f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
     ann = merge_speaker_gaps(annotation, gap_merge)
-    refs = reference_units(ann)
+    refs = [iv for _, iv in reference_units(ann)]
     hyps = hypothesis_segments(ann, hypothesis)
 
+    # Only pairs with positive overlap are visited; every other pair
+    # overlaps by 0.0, which is also each max's default.  The hypothesis
+    # segments partition the span, so a reference unit overlaps one run of
+    # them.
+    hyp_starts = [h.start for h in hyps]
+    hyp_ends = [h.end for h in hyps]
     cov_num = 0.0
     cov_den = 0.0
-    for _, ref_iv in refs:
-        cov_num += max(ref_iv.overlap(h) for h in hyps)
+    for ref_iv in refs:
+        run = hyps[bisect_right(hyp_ends, ref_iv.start):bisect_left(hyp_starts, ref_iv.end)]
+        cov_num += max((ref_iv.overlap(h) for h in run), default=0.0)
         cov_den += ref_iv.duration
+    # Reference units in start order join the active list once they start
+    # before the segment ends and leave it once they end at or before its start.
     pur_num = 0.0
     pur_den = 0.0
+    active: List[Interval] = []
+    joined = 0
     for h in hyps:
-        pur_num += max(h.overlap(ref_iv) for _, ref_iv in refs)
+        while joined < len(refs) and refs[joined].start < h.end:
+            active.append(refs[joined])
+            joined += 1
+        active = [ref_iv for ref_iv in active if ref_iv.end > h.start]
+        pur_num += max((h.overlap(ref_iv) for ref_iv in active), default=0.0)
         pur_den += h.duration
 
     coverage = cov_num / cov_den
@@ -329,36 +381,15 @@ def pooled_precision_recall(reports: Sequence[PrecisionRecallReport]) -> Precisi
     collars = {r.collar for r in reports}
     if len(collars) > 1:
         raise ValueError(f"cannot pool reports with different collars: {sorted(collars)}")
-    n_kept = sum(r.n_predictions_kept for r in reports)
-    n_dropped = sum(r.n_predictions_dropped for r in reports)
-    n_correct = sum(r.n_correct for r in reports)
-    n_intervals = sum(r.n_intervals for r in reports)
-    n_hit = sum(r.n_hit for r in reports)
-    hit_dur = sum(r.hit_duration for r in reports)
-    total_dur = sum(r.total_duration for r in reports)
-
-    precision = n_correct / n_kept if n_kept > 0 else None
-    recall_count = n_hit / n_intervals if n_intervals > 0 else None
-    recall_duration = hit_dur / total_dur if total_dur > 0 else None
-    if precision is None or recall_count is None or (precision == 0 and recall_count == 0):
-        f1 = None
-    else:
-        f1 = f1_score(precision, recall_count)
-    return PrecisionRecallReport(
-        precision=precision,
-        recall_count=recall_count,
-        recall_duration=recall_duration,
-        f1=f1,
-        n_predictions_kept=n_kept,
-        n_predictions_dropped=n_dropped,
-        n_correct=n_correct,
-        n_fa=n_kept - n_correct,
-        n_intervals=n_intervals,
-        n_hit=n_hit,
-        n_fr=n_intervals - n_hit,
+    return PrecisionRecallReport.from_counts(
+        n_kept=sum(r.n_predictions_kept for r in reports),
+        n_dropped=sum(r.n_predictions_dropped for r in reports),
+        n_correct=sum(r.n_correct for r in reports),
+        n_intervals=sum(r.n_intervals for r in reports),
+        n_hit=sum(r.n_hit for r in reports),
+        hit_duration=sum(r.hit_duration for r in reports),
+        total_duration=sum(r.total_duration for r in reports),
         collar=reports[0].collar,
-        hit_duration=hit_dur,
-        total_duration=total_dur,
     )
 
 

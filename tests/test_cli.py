@@ -144,6 +144,25 @@ def test_usage_errors_exit_1():
     assert run_cli("risk", "--nbest", "x", "--nbest-n", "zero").returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("train-toy", "--ref", "t.txt", "--steps", "0"),
+    ("train-toy", "--ref", "t.txt", "--steps", "-3"),
+    ("train-toy", "--ref", "t.txt", "--lr", "0"),
+    ("train-toy", "--ref", "t.txt", "--lr", "nan"),
+    ("train-toy", "--ref", "t.txt", "--lr", "inf"),
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--collar", "nan", "--format", "machine"),
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--collar", "inf"),
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--gap-merge", "nan"),
+])
+def test_bad_values_are_usage_errors_exit_1(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_malformed_rttm_exit_2(tmp_path):
     bad = tmp_path / "bad.rttm"
     bad.write_text("SPEAKER rec 1 0.00 1.00 <NA> <NA>\n")

@@ -310,3 +310,21 @@ class TestValidation:
     def test_hypothesis_sorts_and_dedups(self):
         h = ChangeHypothesis("r", (3.0, 1.0, 3.0, 2.0))
         assert h.timestamps == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SpeakerSegment("A", bad, 5.0)
+        with pytest.raises(ValueError):
+            SpeakerSegment("A", 1.0, bad)
+        with pytest.raises(ValueError):
+            ChangeHypothesis("r", (1.0, bad))
+        hyp = ChangeHypothesis("fig1", (10.2,))
+        with pytest.raises(ValueError):
+            score_changes(FIG1, hyp, collar=bad)
+        with pytest.raises(ValueError):
+            score_changes(FIG1, hyp, gap_merge=bad)
+        with pytest.raises(ValueError):
+            purity_coverage(FIG1, hyp, gap_merge=bad)
+        with pytest.raises(ValueError):
+            merge_speaker_gaps(FIG1, bad)

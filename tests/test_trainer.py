@@ -119,6 +119,9 @@ class TestTrainDynamics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TrainConfig(learning_rate=bad)
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
         with pytest.raises(ValueError):
