@@ -59,10 +59,6 @@ class AlignmentCosts:
     def from_k(cls, k) -> "AlignmentCosts":
         return cls(st_cost_milli=k_to_milli(k))
 
-    @property
-    def k(self) -> float:
-        return self.st_cost_milli / 1000.0
-
 
 DEFAULT_COSTS = AlignmentCosts.from_k("1.1")
 

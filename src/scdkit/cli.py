@@ -18,6 +18,10 @@ from .dataio import (
     MACHINE,
     TABLE,
     DataFormatError,
+    _pct,
+    _precision_recall_rows,
+    _segmentation_rows,
+    _table,
     format_seconds,
     parse_change_stamps,
     parse_nbest,
@@ -29,7 +33,7 @@ from .dataio import (
 )
 from .metrics import (
     ChangeHypothesis,
-    f1_score,
+    f1_of_rates,
     pooled_precision_recall,
     pooled_segmentation,
     purity_coverage,
@@ -190,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="split recordings into windows of whole segments")
     p.add_argument("--ref", required=True, help="reference RTTM file")
-    p.add_argument("--target", type=float, required=True, help="target window length in seconds")
+    p.add_argument("--target", type=_positive_float, required=True,
+                   help="target window length in seconds")
     p.add_argument("--out", help="write windows here instead of stdout")
     p.set_defaults(func=cmd_segment)
 
@@ -292,7 +297,6 @@ def cmd_train_toy(args) -> int:
         nbest_n=args.nbest_n,
         nll_weight=args.nll_weight,
         risk=_risk_config(args),
-        seed=args.seed,
     )
     trace = train(space, config)
     _emit(write_trace(trace), args.out)
@@ -306,43 +310,14 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
-def _pr_rows(report, recall_mode: str):
-    recall = report.recall_duration if recall_mode == "duration" else report.recall_count
-    if report.precision is None or recall is None or (report.precision == 0 and recall == 0):
-        shown_f1 = None
-    else:
-        shown_f1 = f1_score(report.precision, recall)
-
-    def pct(v):
-        return "n/a" if v is None else f"{100.0 * v:.1f}"
-
-    return [
-        ("precision", pct(report.precision)),
-        ("recall", pct(recall)),
-        ("f1", pct(shown_f1)),
-        ("recall_count", pct(report.recall_count)),
-        ("recall_duration", pct(report.recall_duration)),
-        ("predictions_kept", str(report.n_predictions_kept)),
-        ("predictions_dropped", str(report.n_predictions_dropped)),
-        ("correct", str(report.n_correct)),
-        ("false_accepts", str(report.n_fa)),
-        ("change_intervals", str(report.n_intervals)),
-        ("hits", str(report.n_hit)),
-        ("false_rejects", str(report.n_fr)),
-    ]
-
-
-def _seg_rows(report):
-    return [
-        ("purity", f"{100.0 * report.purity:.1f}"),
-        ("coverage", f"{100.0 * report.coverage:.1f}"),
-        ("purity_coverage_f1", f"{100.0 * report.f1:.1f}"),
-    ]
-
-
-def _render_rows(rows) -> str:
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {val}" for name, val in rows) + "\n"
+def _score_rows(pr, seg, recall_mode: str):
+    """The report rows, with the recall mode's recall/f1 pair in place of
+    the count-based f1, no collar row, and purity/coverage F1 relabelled."""
+    recall = pr.recall_duration if recall_mode == "duration" else pr.recall_count
+    rows = [row for row in _precision_recall_rows(pr) if row[0] not in ("f1", "collar")]
+    rows[1:1] = [("recall", _pct(recall)), ("f1", _pct(f1_of_rates(pr.precision, recall)))]
+    return rows + [("purity_coverage_f1" if name == "f1" else name, value)
+                   for name, value in _segmentation_rows(seg)]
 
 
 def cmd_score(args) -> int:
@@ -391,18 +366,15 @@ def cmd_score(args) -> int:
 
     chunks = []
     for rec_id, pr, seg in sections:
-        body = _render_rows(_pr_rows(pr, args.recall_mode) + _seg_rows(seg))
-        chunks.append(f"== {rec_id}\n{body}")
+        chunks.append(f"== {rec_id}\n{_table(_score_rows(pr, seg, args.recall_mode))}")
     chunks.append(
         f"== pooled ({len(sections)} recording{'s' if len(sections) != 1 else ''})\n"
-        + _render_rows(_pr_rows(pooled_pr, args.recall_mode) + _seg_rows(pooled_seg)))
+        + _table(_score_rows(pooled_pr, pooled_seg, args.recall_mode)))
     _emit("\n".join(chunks), args.out)
     return 0
 
 
 def cmd_segment(args) -> int:
-    if args.target <= 0:
-        raise DataFormatError(f"--target must be positive, got {args.target}")
     annotations = parse_rttm(_read_text(args.ref), source=args.ref)
     lines = []
     for ann in annotations:

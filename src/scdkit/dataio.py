@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .metrics import (
@@ -60,6 +60,16 @@ def _lines(stream: Union[str, io.TextIOBase, Iterable[str]]) -> Iterable[str]:
     if isinstance(stream, str):
         return stream.splitlines()
     return stream
+
+
+def _json_object(text: str, where: str) -> Dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where}: expected a JSON object")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +209,7 @@ def parse_nbest(stream: Union[str, io.TextIOBase, Iterable[str]],
         if not stripped:
             continue
         where = f"{source}:{lineno}"
-        try:
-            rec = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise DataFormatError(f"{where}: expected a JSON object")
+        rec = _json_object(stripped, where)
         try:
             utt_id = rec["utterance_id"]
             reference = rec["reference"]
@@ -268,8 +273,8 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
     a window never closes while the next segment overlaps it (windows stay
     disjoint and never cut inside a segment).
     """
-    if target <= 0:
-        raise ValueError(f"target must be > 0, got {target}")
+    if not (math.isfinite(target) and target > 0):
+        raise ValueError(f"target must be finite and > 0, got {target}")
     segs = sorted(annotation.segments, key=lambda s: (s.start, s.end))
     windows: List[Tuple[float, float]] = []
     win_start: Optional[float] = None
@@ -346,112 +351,54 @@ def _loss_rows(r: LossBreakdown) -> List[Tuple[str, str]]:
     ]
 
 
-def _report_dict(report) -> Dict:
-    if isinstance(report, PrecisionRecallReport):
-        return {
-            "kind": "precision_recall",
-            "precision": report.precision,
-            "recall_count": report.recall_count,
-            "recall_duration": report.recall_duration,
-            "f1": report.f1,
-            "n_predictions_kept": report.n_predictions_kept,
-            "n_predictions_dropped": report.n_predictions_dropped,
-            "n_correct": report.n_correct,
-            "n_fa": report.n_fa,
-            "n_intervals": report.n_intervals,
-            "n_hit": report.n_hit,
-            "n_fr": report.n_fr,
-            "collar": report.collar,
-            "hit_duration": report.hit_duration,
-            "total_duration": report.total_duration,
-        }
-    if isinstance(report, SegmentationReport):
-        return {
-            "kind": "segmentation",
-            "purity": report.purity,
-            "coverage": report.coverage,
-            "f1": report.f1,
-            "purity_num": report.purity_num,
-            "purity_den": report.purity_den,
-            "coverage_num": report.coverage_num,
-            "coverage_den": report.coverage_den,
-        }
-    if isinstance(report, LossBreakdown):
-        return {
-            "kind": "loss",
-            "per_hyp_risk": list(report.per_hyp_risk),
-            "per_hyp_prob": list(report.per_hyp_prob),
-            "expected_risk": report.expected_risk,
-            "nll_term": report.nll_term,
-            "total": report.total,
-            "expected_fa": report.expected_fa,
-            "expected_fr": report.expected_fr,
-            "expected_w": report.expected_w,
-        }
-    raise TypeError(f"unsupported report type: {type(report).__name__}")
+_REPORT_CLASSES = {
+    "precision_recall": PrecisionRecallReport,
+    "segmentation": SegmentationReport,
+    "loss": LossBreakdown,
+}
+_REPORT_KINDS = {cls: kind for kind, cls in _REPORT_CLASSES.items()}
+_TABLE_ROWS = {
+    PrecisionRecallReport: _precision_recall_rows,
+    SegmentationReport: _segmentation_rows,
+    LossBreakdown: _loss_rows,
+}
+
+# Machine JSON carries each dataclass field under its own name.  Writers
+# use vars(), which for these plain dataclasses holds exactly the fields;
+# the reader looks the names up once here, as fields() per trace record
+# is measurably slower.
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
+                for cls in (*_REPORT_CLASSES.values(), TrainStep)}
+
+
+def _from_json_object(cls, obj: Dict, where: str):
+    """Build ``cls`` from its fields in ``obj``; JSON lists become tuples."""
+    try:
+        values = {name: obj[name] for name in _FIELD_NAMES[cls]}
+    except KeyError as exc:
+        raise DataFormatError(f"{where}: missing field {exc}") from exc
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()})
 
 
 def write_report(report, format: str = TABLE) -> str:
     """Render a report as a human table or lossless machine JSON."""
+    kind = _REPORT_KINDS.get(type(report))
+    if kind is None:
+        raise TypeError(f"unsupported report type: {type(report).__name__}")
     if format == MACHINE:
-        return json.dumps(_report_dict(report), sort_keys=True) + "\n"
+        return json.dumps({"kind": kind, **vars(report)}, sort_keys=True) + "\n"
     if format != TABLE:
         raise ValueError(f"unknown report format {format!r}")
-    if isinstance(report, PrecisionRecallReport):
-        return _table(_precision_recall_rows(report))
-    if isinstance(report, SegmentationReport):
-        return _table(_segmentation_rows(report))
-    if isinstance(report, LossBreakdown):
-        return _table(_loss_rows(report))
-    raise TypeError(f"unsupported report type: {type(report).__name__}")
+    return _table(_TABLE_ROWS[type(report)](report))
 
 
 def read_report(text: str):
     """Inverse of ``write_report(..., format=MACHINE)``."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid report JSON: {exc}") from exc
+    obj = _json_object(text, "report")
     kind = obj.get("kind")
-    if kind == "precision_recall":
-        return PrecisionRecallReport(
-            precision=obj["precision"],
-            recall_count=obj["recall_count"],
-            recall_duration=obj["recall_duration"],
-            f1=obj["f1"],
-            n_predictions_kept=obj["n_predictions_kept"],
-            n_predictions_dropped=obj["n_predictions_dropped"],
-            n_correct=obj["n_correct"],
-            n_fa=obj["n_fa"],
-            n_intervals=obj["n_intervals"],
-            n_hit=obj["n_hit"],
-            n_fr=obj["n_fr"],
-            collar=obj["collar"],
-            hit_duration=obj["hit_duration"],
-            total_duration=obj["total_duration"],
-        )
-    if kind == "segmentation":
-        return SegmentationReport(
-            purity=obj["purity"],
-            coverage=obj["coverage"],
-            f1=obj["f1"],
-            purity_num=obj["purity_num"],
-            purity_den=obj["purity_den"],
-            coverage_num=obj["coverage_num"],
-            coverage_den=obj["coverage_den"],
-        )
-    if kind == "loss":
-        return LossBreakdown(
-            per_hyp_risk=tuple(obj["per_hyp_risk"]),
-            per_hyp_prob=tuple(obj["per_hyp_prob"]),
-            expected_risk=obj["expected_risk"],
-            nll_term=obj["nll_term"],
-            total=obj["total"],
-            expected_fa=obj["expected_fa"],
-            expected_fr=obj["expected_fr"],
-            expected_w=obj["expected_w"],
-        )
-    raise DataFormatError(f"unknown report kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _REPORT_CLASSES:
+        raise DataFormatError(f"report: unknown report kind {kind!r}")
+    return _from_json_object(_REPORT_CLASSES[kind], obj, "report")
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +407,7 @@ def read_report(text: str):
 def write_trace(trace: TrainTrace) -> str:
     lines = []
     for step, rec in enumerate(trace.records):
-        lines.append(json.dumps({
-            "step": step,
-            "loss_total": rec.loss_total,
-            "expected_fa": rec.expected_fa,
-            "expected_fr": rec.expected_fr,
-            "expected_w": rec.expected_w,
-            "argmax_candidate": rec.argmax_candidate,
-        }, sort_keys=True))
+        lines.append(json.dumps({"step": step, **vars(rec)}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -478,15 +418,6 @@ def read_trace_records(stream: Union[str, io.TextIOBase, Iterable[str]],
         stripped = line.strip()
         if not stripped:
             continue
-        try:
-            obj = json.loads(stripped)
-            records.append(TrainStep(
-                loss_total=obj["loss_total"],
-                expected_fa=obj["expected_fa"],
-                expected_fr=obj["expected_fr"],
-                expected_w=obj["expected_w"],
-                argmax_candidate=obj["argmax_candidate"],
-            ))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DataFormatError(f"{source}:{lineno}: bad trace record: {exc}") from exc
+        where = f"{source}:{lineno}"
+        records.append(_from_json_object(TrainStep, _json_object(stripped, where), where))
     return records

@@ -65,12 +65,6 @@ class Annotation:
     def t_max(self) -> float:
         return max(s.end for s in self.segments)
 
-    def speakers(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for s in self.segments:
-            seen.setdefault(s.speaker, None)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class ChangeHypothesis:
@@ -108,21 +102,16 @@ class PrecisionRecallReport:
                     collar: float) -> "PrecisionRecallReport":
         """Rates and F1 from raw counts.
 
-        A rate whose denominator is zero is None; F1 is None when either
-        rate is None or both are 0.
+        A rate whose denominator is zero is None; F1 follows ``f1_of_rates``.
         """
         precision = n_correct / n_kept if n_kept > 0 else None
         recall_count = n_hit / n_intervals if n_intervals > 0 else None
         recall_duration = hit_duration / total_duration if total_duration > 0 else None
-        if precision is None or recall_count is None or (precision == 0 and recall_count == 0):
-            f1 = None
-        else:
-            f1 = f1_score(precision, recall_count)
         return cls(
             precision=precision,
             recall_count=recall_count,
             recall_duration=recall_duration,
-            f1=f1,
+            f1=f1_of_rates(precision, recall_count),
             n_predictions_kept=n_kept,
             n_predictions_dropped=n_dropped,
             n_correct=n_correct,
@@ -153,6 +142,13 @@ def f1_score(a: float, b: float) -> float:
     if a == 0.0 and b == 0.0:
         return 0.0
     return 2.0 * a * b / (a + b)
+
+
+def f1_of_rates(precision: Optional[float], recall: Optional[float]) -> Optional[float]:
+    """F1 of two rates; None when either rate is None or both are 0."""
+    if precision is None or recall is None or (precision == 0 and recall == 0):
+        return None
+    return f1_score(precision, recall)
 
 
 def merge_speaker_gaps(annotation: Annotation, gap_merge: float) -> Annotation:

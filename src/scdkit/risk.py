@@ -19,8 +19,6 @@ from .tokens import Token, TokenSeq, as_token_seq
 # exp(log_score) above this is not a probability
 _MAX_LOG_PROB = math.log1p(1e-9)
 
-PROB_SUM_TOL = 1e-12
-
 
 class RiskKind(str, Enum):
     # weighted turn-aware risk, normalized by reference length
@@ -85,11 +83,6 @@ class LossBreakdown:
     expected_w: float
 
 
-def hyp_error_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
-                     config: RiskConfig) -> ErrorCounts:
-    return align(reference, hypothesis, config.costs).counts
-
-
 def risk_from_counts(counts: ErrorCounts, ref_len: int, config: RiskConfig) -> float:
     if config.risk_kind is RiskKind.WORD_ERROR_ONLY:
         return float(counts.total_errors)
@@ -111,7 +104,7 @@ def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
     ref = as_token_seq(reference)
     if not ref:
         raise ValueError("reference must contain at least one token")
-    counts = hyp_error_counts(ref, hypothesis, config)
+    counts = align(ref, hypothesis, config.costs).counts
     return risk_from_counts(counts, len(ref), config)
 
 
@@ -146,7 +139,7 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
     risks: List[float] = []
     exp_risk = exp_fa = exp_fr = exp_w = 0.0
     for p, hyp in zip(probs, nbest.hypotheses):
-        counts = hyp_error_counts(nbest.reference, hyp.tokens, config)
+        counts = align(nbest.reference, hyp.tokens, config.costs).counts
         r = risk_from_counts(counts, q, config)
         risks.append(r)
         exp_risk += p * r

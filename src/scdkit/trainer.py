@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .risk import RiskConfig, hyp_error_counts, risk_from_counts
+from .alignment import align
+from .risk import RiskConfig, risk_from_counts
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
 CANDIDATE_CAP = 256
@@ -48,22 +49,12 @@ class HypothesisSpace:
 
 
 @dataclass(frozen=True)
-class ToyModel:
-    logits: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.logits):
-            raise ValueError("logits must be finite")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.5
     steps: int = 500
     nbest_n: Optional[int] = None  # None selects the full candidate set
     nll_weight: float = 0.03
     risk: RiskConfig = field(default_factory=RiskConfig)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -88,7 +79,7 @@ class TrainStep:
 @dataclass(frozen=True)
 class TrainTrace:
     records: Tuple[TrainStep, ...]  # steps + 1 entries, initial state first
-    final_model: ToyModel
+    final_model: Tuple[float, ...]  # the logits after the last step
 
     @property
     def initial(self) -> TrainStep:
@@ -188,7 +179,7 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
     ref_idx = space.reference_index
     q = len(space.reference)
 
-    counts = [hyp_error_counts(space.reference, c, config.risk) for c in cands]
+    counts = [align(space.reference, c, config.risk.costs).counts for c in cands]
     risks = np.array([risk_from_counts(c, q, config.risk) for c in counts])
     fa = np.array([c.st_insertions for c in counts], dtype=float)
     fr = np.array([c.st_deletions for c in counts], dtype=float)
@@ -223,13 +214,12 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
         grad[ref_idx] -= config.nll_weight
         logits = logits - config.learning_rate * grad
 
-    return TrainTrace(records=tuple(records),
-                      final_model=ToyModel(tuple(float(v) for v in logits)))
+    return TrainTrace(records=tuple(records), final_model=tuple(float(v) for v in logits))
 
 
 def candidate_probs(trace: TrainTrace) -> Tuple[float, ...]:
     """Softmax of the trace's final logits."""
-    logits = np.array(trace.final_model.logits)
+    logits = np.array(trace.final_model)
     shifted = logits - logits.max()
     exp = np.exp(shifted)
     return tuple(float(v) for v in exp / exp.sum())

@@ -156,6 +156,11 @@ def test_usage_errors_exit_1():
      "--collar", "inf"),
     ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
      "--gap-merge", "nan"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "nan"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "inf"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "1e400"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "0"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "-1"),
 ])
 def test_bad_values_are_usage_errors_exit_1(argv):
     proc = run_cli(*argv)

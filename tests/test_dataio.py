@@ -224,8 +224,9 @@ class TestSegmentLongform:
             assert e1 <= s2
 
     def test_target_must_be_positive(self):
-        with pytest.raises(ValueError):
-            segment_longform(ann("r", ("A", 0.0, 1.0)), 0.0)
+        for target in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                segment_longform(ann("r", ("A", 0.0, 1.0)), target)
 
 
 FIG1 = ann("fig1", ("A", 0.0, 10.0), ("B", 10.5, 20.0), ("C", 19.0, 25.0))
@@ -260,6 +261,16 @@ class TestReports:
         with pytest.raises(ValueError):
             write_report(SegmentationReport(1.0, 1.0, 1.0), "csv")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "expected a JSON object"),
+        ('{"kind": "segmentation"}', "missing field 'purity'"),
+        ('{"kind": "histogram"}', "unknown report kind"),
+        ('{"kind": ["loss"]}', "unknown report kind"),
+    ], ids=["not-an-object", "missing-field", "unknown-kind", "unhashable-kind"])
+    def test_malformed_report_is_data_format_error(self, text, message):
+        with pytest.raises(DataFormatError, match=message):
+            read_report(text)
+
 
 class TestTraceIO:
     def test_round_trip(self):
@@ -268,3 +279,11 @@ class TestTraceIO:
         records = read_trace_records(text)
         assert tuple(records) == trace.records
         assert len(records) == 8
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]\n", "<trace>:1: expected a JSON object"),
+        ('\n{"loss_total": 1.0}\n', "<trace>:2: missing field 'expected_fa'"),
+    ], ids=["not-an-object", "missing-field"])
+    def test_malformed_record_is_data_format_error(self, text, message):
+        with pytest.raises(DataFormatError, match=message):
+            read_trace_records(text)
