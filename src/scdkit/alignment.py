@@ -25,6 +25,9 @@ from .tokens import Token, TokenSeq, as_token_seq
 
 BRUTE_FORCE_MAX_LEN = 8
 
+# Every word edit (insertion, deletion, substitution) costs 1.
+WORD_COST_MILLI = 1000
+
 
 def k_to_milli(k) -> int:
     """Convert a turn-marker cost k (at most 3 decimal places) to exact milli-units."""
@@ -43,17 +46,13 @@ def k_to_milli(k) -> int:
 
 @dataclass(frozen=True)
 class AlignmentCosts:
-    """Edit costs in exact integer milli-units."""
+    """Turn-marker insert/delete cost in exact integer milli-units."""
 
     st_cost_milli: int = 1100
-    word_ins_del_cost_milli: int = 1000
-    word_sub_cost_milli: int = 1000
 
     def __post_init__(self) -> None:
         if self.st_cost_milli < 1000:
             raise ValueError(f"turn-marker cost must be >= 1000 milli, got {self.st_cost_milli}")
-        if self.word_ins_del_cost_milli <= 0 or self.word_sub_cost_milli <= 0:
-            raise ValueError("word edit costs must be positive")
 
     @classmethod
     def from_k(cls, k) -> "AlignmentCosts":
@@ -116,12 +115,12 @@ def op_cost(op: EditOp, reference: TokenSeq, hypothesis: TokenSeq, costs: Alignm
     if op.kind is OpKind.MATCH:
         return 0
     if op.kind is OpKind.WORD_SUB:
-        return costs.word_sub_cost_milli
+        return WORD_COST_MILLI
     if op.kind is OpKind.DELETE:
         tok = reference[op.ref_index]
     else:
         tok = hypothesis[op.hyp_index]
-    return costs.st_cost_milli if tok.is_turn else costs.word_ins_del_cost_milli
+    return costs.st_cost_milli if tok.is_turn else WORD_COST_MILLI
 
 
 def counts_from_ops(ops: Sequence[EditOp], reference: TokenSeq, hypothesis: TokenSeq) -> ErrorCounts:
@@ -167,8 +166,7 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
     ref = as_token_seq(reference)
     hyp = as_token_seq(hypothesis)
     n, m = len(ref), len(hyp)
-    word_cost = costs.word_ins_del_cost_milli
-    sub_cost = costs.word_sub_cost_milli
+    word_cost = WORD_COST_MILLI
     st_cost = costs.st_cost_milli
 
     cost = [[0] * (m + 1) for _ in range(n + 1)]
@@ -207,7 +205,7 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
             if cand < best:
                 best, best_op = cand, OpKind.INSERT
             if r != h and not r_turn and not h_turn:
-                cand = (cost[i - 1][j - 1] + sub_cost, sterr[i - 1][j - 1], _RANK_SUB)
+                cand = (cost[i - 1][j - 1] + word_cost, sterr[i - 1][j - 1], _RANK_SUB)
                 if cand < best:
                     best, best_op = cand, OpKind.WORD_SUB
             cost[i][j], sterr[i][j], _ = best
@@ -255,20 +253,19 @@ def brute_force_align(reference: Sequence[Token], hypothesis: Sequence[Token],
             f"brute force is limited to sequences of at most {BRUTE_FORCE_MAX_LEN} tokens, "
             f"got {len(ref)} and {len(hyp)}")
 
-    word_cost = costs.word_ins_del_cost_milli
-    sub_cost = costs.word_sub_cost_milli
+    word_cost = WORD_COST_MILLI
     st_cost = costs.st_cost_milli
     n, m = len(ref), len(hyp)
-    # The cheapest possible completion from (i, j) needs at least
-    # |remaining length difference| insertions or deletions, each >= min edit cost.
-    min_edit = min(word_cost, sub_cost, st_cost)
 
     best_cost: Optional[int] = None
     optimal: set = set()
 
     def visit(i: int, j: int, c: int, w: int, fa: int, fr: int, stc: int) -> None:
         nonlocal best_cost
-        if best_cost is not None and c + min_edit * abs((n - i) - (m - j)) > best_cost:
+        # The cheapest completion from (i, j) needs at least |remaining length
+        # difference| insertions or deletions, each costing at least one word
+        # edit (the turn-marker cost is never below it).
+        if best_cost is not None and c + word_cost * abs((n - i) - (m - j)) > best_cost:
             return
         if i == n and j == m:
             key = ErrorCounts(w, fa, fr, stc)
@@ -284,7 +281,7 @@ def brute_force_align(reference: Sequence[Token], hypothesis: Sequence[Token],
             if r == h:
                 visit(i + 1, j + 1, c, w, fa, fr, stc + (1 if r.is_turn else 0))
             elif not r.is_turn and not h.is_turn:
-                visit(i + 1, j + 1, c + sub_cost, w + 1, fa, fr, stc)
+                visit(i + 1, j + 1, c + word_cost, w + 1, fa, fr, stc)
         if i < n:
             if ref[i].is_turn:
                 visit(i + 1, j, c + st_cost, w, fa, fr + 1, stc)

@@ -39,7 +39,7 @@ from .metrics import (
     purity_coverage,
     score_changes,
 )
-from .risk import NBest, RiskConfig, RiskKind, batch_loss, expected_risk
+from .risk import NBest, RiskConfig, RiskKind, expected_risk, pooled_loss
 from .tokens import seq_to_text
 from .trainer import TrainConfig, enumerate_candidates, st_vs_word_space, train
 
@@ -215,16 +215,10 @@ def cmd_align(args) -> int:
     ref = tokenize_transcript(_read_text(args.ref))
     hyp = tokenize_transcript(_read_text(args.hyp))
     result = align(ref, hyp, args.k)
-    c = result.counts
     if args.format == MACHINE:
         obj = {
             "cost_milli": result.cost_milli,
-            "counts": {
-                "word_errors": c.word_errors,
-                "st_insertions": c.st_insertions,
-                "st_deletions": c.st_deletions,
-                "st_correct": c.st_correct,
-            },
+            "counts": vars(result.counts),
             "ops": [
                 {"kind": op.kind.value, "ref_index": op.ref_index, "hyp_index": op.hyp_index}
                 for op in result.ops
@@ -232,15 +226,9 @@ def cmd_align(args) -> int:
         }
         _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
         return 0
-    lines = [
-        f"cost_milli     {result.cost_milli}",
-        f"word_errors    {c.word_errors}",
-        f"st_insertions  {c.st_insertions}",
-        f"st_deletions   {c.st_deletions}",
-        f"st_correct     {c.st_correct}",
-    ]
-    lines.extend(_op_line(op, ref, hyp) for op in result.ops)
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [("cost_milli", str(result.cost_milli))]
+    rows.extend((name, str(value)) for name, value in vars(result.counts).items())
+    _emit(_table(rows) + "".join(_op_line(op, ref, hyp) + "\n" for op in result.ops), args.out)
     return 0
 
 
@@ -258,7 +246,7 @@ def cmd_risk(args) -> int:
     config = _risk_config(args, normalize=args.normalize, kind=RiskKind(args.risk_kind))
     records = [_top_hypotheses(nb, args.nbest_n) for nb in records]
     per_utt = [(nb.utterance_id, expected_risk(nb, config)) for nb in records]
-    batch = batch_loss(records, nll_weight=args.nll_weight, nll=args.nll, config=config)
+    batch = pooled_loss((rep for _, rep in per_utt), nll_weight=args.nll_weight, nll=args.nll)
     if args.format == MACHINE:
         obj = {
             "utterances": [

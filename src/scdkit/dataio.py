@@ -19,8 +19,8 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .metrics import (
     Annotation,
@@ -363,21 +363,41 @@ _TABLE_ROWS = {
     LossBreakdown: _loss_rows,
 }
 
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# What a JSON value must be for each field annotation the report and trace
+# dataclasses use: (check, description for the error message).
+_VALUE_CHECKS = {
+    float: (_is_number, "a number"),
+    Optional[float]: (lambda v: v is None or _is_number(v), "a number or null"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    Tuple[float, ...]: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                        "a list of numbers"),
+}
+
 # Machine JSON carries each dataclass field under its own name.  Writers
 # use vars(), which for these plain dataclasses holds exactly the fields;
-# the reader looks the names up once here, as fields() per trace record
-# is measurably slower.
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
-                for cls in (*_REPORT_CLASSES.values(), TrainStep)}
+# the reader looks the names and their checks up once here, as doing so
+# per trace record is measurably slower.
+_FIELD_CHECKS = {cls: tuple((name, *_VALUE_CHECKS[hint])
+                            for name, hint in get_type_hints(cls).items())
+                 for cls in (*_REPORT_CLASSES.values(), TrainStep)}
 
 
 def _from_json_object(cls, obj: Dict, where: str):
     """Build ``cls`` from its fields in ``obj``; JSON lists become tuples."""
-    try:
-        values = {name: obj[name] for name in _FIELD_NAMES[cls]}
-    except KeyError as exc:
-        raise DataFormatError(f"{where}: missing field {exc}") from exc
-    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()})
+    values = {}
+    for name, valid, expected in _FIELD_CHECKS[cls]:
+        if name not in obj:
+            raise DataFormatError(f"{where}: missing field {name!r}")
+        v = obj[name]
+        if not valid(v):
+            raise DataFormatError(f"{where}: field {name!r} must be {expected}, got {v!r}")
+        values[name] = tuple(v) if isinstance(v, list) else v
+    return cls(**values)
 
 
 def write_report(report, format: str = TABLE) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .alignment import AlignmentCosts, ErrorCounts, align
 from .tokens import Token, TokenSeq, as_token_seq
@@ -83,36 +83,34 @@ class LossBreakdown:
     expected_w: float
 
 
-def risk_from_counts(counts: ErrorCounts, ref_len: int, config: RiskConfig) -> float:
-    if config.risk_kind is RiskKind.WORD_ERROR_ONLY:
-        return float(counts.total_errors)
-    if ref_len < 1:
+def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],
+                      config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
+    """(risk, error counts) of each hypothesis, aligned once against ``reference``.
+
+    The one place in the risk path that aligns.  The risk is
+    (alpha*W + beta*FA + gamma*FR) / |reference| for the turn-weighted
+    kind and raw W + FA + FR for the word-error-only kind.
+    """
+    ref = as_token_seq(reference)
+    weighted = config.risk_kind is RiskKind.SCD_WEIGHTED
+    if weighted and not ref:
         raise ValueError("reference must contain at least one token")
-    weighted = (config.alpha * counts.word_errors
-                + config.beta * counts.st_insertions
-                + config.gamma * counts.st_deletions)
-    return weighted / ref_len
+    rows = []
+    for hyp in hypotheses:
+        c = align(ref, hyp, config.costs).counts
+        risk = ((config.alpha * c.word_errors + config.beta * c.st_insertions
+                 + config.gamma * c.st_deletions) / len(ref)
+                if weighted else float(c.total_errors))
+        rows.append((risk, c))
+    return rows
 
 
 def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
                  config: RiskConfig = RiskConfig()) -> float:
-    """Risk of a single hypothesis against its reference.
-
-    (alpha*W + beta*FA + gamma*FR) / |reference| for the turn-weighted kind;
-    raw W + FA + FR for the word-error-only kind.
-    """
-    ref = as_token_seq(reference)
-    if not ref:
+    """Risk of a single hypothesis against its reference (see ``hypothesis_errors``)."""
+    if not as_token_seq(reference):
         raise ValueError("reference must contain at least one token")
-    counts = align(ref, hypothesis, config.costs).counts
-    return risk_from_counts(counts, len(ref), config)
-
-
-def _softmax(log_scores: Sequence[float]) -> List[float]:
-    top = max(log_scores)
-    exps = [math.exp(s - top) for s in log_scores]
-    z = sum(exps)
-    return [e / z for e in exps]
+    return hypothesis_errors(reference, (hypothesis,), config)[0][0]
 
 
 def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) -> List[float]:
@@ -123,7 +121,10 @@ def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) ->
     """
     scores = [h.log_score for h in hypotheses]
     if normalize:
-        return _softmax(scores)
+        top = max(scores)
+        exps = [math.exp(s - top) for s in scores]
+        z = sum(exps)
+        return [e / z for e in exps]
     for s in scores:
         if s > _MAX_LOG_PROB:
             raise ValueError(
@@ -135,19 +136,15 @@ def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) ->
 def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakdown:
     """Probability-weighted risk across the hypotheses of one utterance."""
     probs = hypothesis_probs(nbest.hypotheses, config.normalize_scores)
-    q = len(nbest.reference)
-    risks: List[float] = []
+    rows = hypothesis_errors(nbest.reference, (h.tokens for h in nbest.hypotheses), config)
     exp_risk = exp_fa = exp_fr = exp_w = 0.0
-    for p, hyp in zip(probs, nbest.hypotheses):
-        counts = align(nbest.reference, hyp.tokens, config.costs).counts
-        r = risk_from_counts(counts, q, config)
-        risks.append(r)
+    for p, (r, counts) in zip(probs, rows):
         exp_risk += p * r
         exp_fa += p * counts.st_insertions
         exp_fr += p * counts.st_deletions
         exp_w += p * counts.word_errors
     return LossBreakdown(
-        per_hyp_risk=tuple(risks),
+        per_hyp_risk=tuple(r for r, _ in rows),
         per_hyp_prob=tuple(probs),
         expected_risk=exp_risk,
         nll_term=0.0,
@@ -158,12 +155,12 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
     )
 
 
-def batch_loss(batch: Sequence[NBest], nll_weight: float, nll: float,
-               config: RiskConfig = RiskConfig()) -> LossBreakdown:
-    """Summed expected risk over a batch plus the weighted NLL regularizer.
+def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
+                nll: float) -> LossBreakdown:
+    """Sum per-utterance breakdowns, in order, plus the weighted NLL regularizer.
 
     ``nll`` is the externally supplied negative log probability of the
-    ground truth; per-hypothesis lists are concatenated in batch order.
+    ground truth.  Both arguments are checked before ``breakdowns`` is consumed.
     """
     if nll_weight < 0:
         raise ValueError(f"nll weight must be >= 0, got {nll_weight}")
@@ -172,8 +169,7 @@ def batch_loss(batch: Sequence[NBest], nll_weight: float, nll: float,
     risks: List[float] = []
     probs: List[float] = []
     risk_sum = exp_fa = exp_fr = exp_w = 0.0
-    for nbest in batch:
-        b = expected_risk(nbest, config)
+    for b in breakdowns:
         risks.extend(b.per_hyp_risk)
         probs.extend(b.per_hyp_prob)
         risk_sum += b.expected_risk
@@ -190,6 +186,12 @@ def batch_loss(batch: Sequence[NBest], nll_weight: float, nll: float,
         expected_fr=exp_fr,
         expected_w=exp_w,
     )
+
+
+def batch_loss(batch: Sequence[NBest], nll_weight: float, nll: float,
+               config: RiskConfig = RiskConfig()) -> LossBreakdown:
+    """Summed expected risk over a batch plus the weighted NLL regularizer."""
+    return pooled_loss((expected_risk(nbest, config) for nbest in batch), nll_weight, nll)
 
 
 def risk_gradient(nbest: NBest, config: RiskConfig = RiskConfig()) -> List[float]:

@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alignment import align
-from .risk import RiskConfig, risk_from_counts
+from .risk import RiskConfig, hypothesis_errors
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
 CANDIDATE_CAP = 256
@@ -161,11 +160,9 @@ def st_vs_word_space() -> HypothesisSpace:
                            candidates=(ref, word_sub, turn_dropped))
 
 
-def _top_n_indices(logits: np.ndarray, n: Optional[int]) -> np.ndarray:
-    order = np.argsort(-logits, kind="stable")
-    if n is None or n >= logits.size:
-        return order
-    return order[:n]
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
 
 
 def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainTrace:
@@ -174,27 +171,26 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
     Probabilities are the softmax over the whole candidate set; the risk
     term sums over the current top-``nbest_n`` candidates only.
     """
-    cands = space.candidates
-    n_cand = len(cands)
+    n_cand = len(space.candidates)
     ref_idx = space.reference_index
-    q = len(space.reference)
+    top_n = config.nbest_n if config.nbest_n is not None and config.nbest_n < n_cand else None
 
-    counts = [align(space.reference, c, config.risk.costs).counts for c in cands]
-    risks = np.array([risk_from_counts(c, q, config.risk) for c in counts])
-    fa = np.array([c.st_insertions for c in counts], dtype=float)
-    fr = np.array([c.st_deletions for c in counts], dtype=float)
-    w = np.array([c.word_errors for c in counts], dtype=float)
+    rows = hypothesis_errors(space.reference, space.candidates, config.risk)
+    risks = np.array([r for r, _ in rows])
+    fa = np.array([c.st_insertions for _, c in rows], dtype=float)
+    fr = np.array([c.st_deletions for _, c in rows], dtype=float)
+    w = np.array([c.word_errors for _, c in rows], dtype=float)
 
     logits = np.zeros(n_cand)
     records: List[TrainStep] = []
     for step in range(config.steps + 1):
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
-        sel = _top_n_indices(logits, config.nbest_n)
-        sel_mask = np.zeros(n_cand)
-        sel_mask[sel] = 1.0
-        p_sel = probs * sel_mask
+        probs = _softmax(logits)
+        # With no cut the mask would be all ones, and x * 1.0 == x.
+        p_sel, r_sel = probs, risks
+        if top_n is not None:
+            sel_mask = np.zeros(n_cand)
+            sel_mask[np.argsort(-logits, kind="stable")[:top_n]] = 1.0
+            p_sel, r_sel = probs * sel_mask, risks * sel_mask
         risk_term = float(np.dot(p_sel, risks))
         nll = -float(np.log(probs[ref_idx]))
         loss = risk_term + config.nll_weight * nll
@@ -209,7 +205,7 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
         ))
         if step == config.steps:
             break
-        grad = probs * (risks * sel_mask - risk_term)
+        grad = probs * (r_sel - risk_term)
         grad += config.nll_weight * probs
         grad[ref_idx] -= config.nll_weight
         logits = logits - config.learning_rate * grad
@@ -219,7 +215,4 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
 
 def candidate_probs(trace: TrainTrace) -> Tuple[float, ...]:
     """Softmax of the trace's final logits."""
-    logits = np.array(trace.final_model)
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return tuple(float(v) for v in exp / exp.sum())
+    return tuple(float(v) for v in _softmax(np.array(trace.final_model)))

@@ -232,6 +232,20 @@ class TestSegmentLongform:
 FIG1 = ann("fig1", ("A", 0.0, 10.0), ("B", 10.5, 20.0), ("C", 19.0, 25.0))
 
 
+# Valid machine JSON, edited field by field into malformed cases below.
+_SEG = ('{"kind": "segmentation", "purity": 0.5, "coverage": 1, "f1": 0.6667, "purity_num": 1.0, '
+        '"purity_den": 2.0, "coverage_num": 2.0, "coverage_den": 2.0}')
+_PR = ('{"kind": "precision_recall", "precision": null, "recall_count": 0.5, '
+       '"recall_duration": 0.25, "f1": null, "n_predictions_kept": 0, "n_predictions_dropped": 1, '
+       '"n_correct": 0, "n_fa": 0, "n_intervals": 4, "n_hit": 2, "n_fr": 2, "collar": 0.25, '
+       '"hit_duration": 1.0, "total_duration": 4.0}')
+_LOSS = ('{"kind": "loss", "per_hyp_risk": [0.0, 2.2], "per_hyp_prob": [0.5, 0.5], '
+         '"expected_risk": 1.1, "nll_term": 2.0, "total": 1.16, "expected_fa": 0.5, '
+         '"expected_fr": 0.0, "expected_w": 0.5}')
+_STEP = ('{"step": 0, "loss_total": 1.0, "expected_fa": 0.5, "expected_fr": 0.0, '
+         '"expected_w": 0.5, "argmax_candidate": 0}\n')
+
+
 class TestReports:
     def test_table_percent_formatting(self):
         r = PrecisionRecallReport(
@@ -257,6 +271,11 @@ class TestReports:
             nll_term=2.0, total=1.16, expected_fa=0.5, expected_fr=0.0, expected_w=0.5)
         assert read_report(write_report(r, MACHINE)) == r
 
+    def test_well_typed_values_accepted(self):
+        assert [type(read_report(t)) for t in (_SEG, _PR, _LOSS)] == [
+            SegmentationReport, PrecisionRecallReport, LossBreakdown]
+        assert read_trace_records(_STEP)[0].argmax_candidate == 0
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             write_report(SegmentationReport(1.0, 1.0, 1.0), "csv")
@@ -266,7 +285,25 @@ class TestReports:
         ('{"kind": "segmentation"}', "missing field 'purity'"),
         ('{"kind": "histogram"}', "unknown report kind"),
         ('{"kind": ["loss"]}', "unknown report kind"),
-    ], ids=["not-an-object", "missing-field", "unknown-kind", "unhashable-kind"])
+        (_SEG.replace('"purity": 0.5', '"purity": "x"'),
+         "report: field 'purity' must be a number"),
+        (_SEG.replace('"purity": 0.5', '"purity": null'), "field 'purity' must be a number"),
+        (_SEG.replace('"coverage": 1', '"coverage": true'), "field 'coverage' must be a number"),
+        (_PR.replace('"precision": null', '"precision": "1"'),
+         "field 'precision' must be a number or null"),
+        (_PR.replace('"n_intervals": 4', '"n_intervals": 4.0'),
+         "field 'n_intervals' must be an integer"),
+        (_PR.replace('"n_intervals": 4', '"n_intervals": false'),
+         "field 'n_intervals' must be an integer"),
+        (_LOSS.replace('"per_hyp_risk": [0.0, 2.2]', '"per_hyp_risk": 5'),
+         "field 'per_hyp_risk' must be a list of numbers"),
+        (_LOSS.replace('"per_hyp_risk": [0.0, 2.2]', '"per_hyp_risk": [0.0, "2.2"]'),
+         "field 'per_hyp_risk' must be a list of numbers"),
+        (_LOSS.replace('"expected_fa": 0.5', '"expected_fa": [1]'),
+         "field 'expected_fa' must be a number"),
+    ], ids=["not-an-object", "missing-field", "unknown-kind", "unhashable-kind",
+            "string-float", "null-float", "bool-float", "string-optional", "float-int",
+            "bool-int", "number-tuple", "string-in-tuple", "list-float"])
     def test_malformed_report_is_data_format_error(self, text, message):
         with pytest.raises(DataFormatError, match=message):
             read_report(text)
@@ -283,7 +320,13 @@ class TestTraceIO:
     @pytest.mark.parametrize("text, message", [
         ("[1]\n", "<trace>:1: expected a JSON object"),
         ('\n{"loss_total": 1.0}\n', "<trace>:2: missing field 'expected_fa'"),
-    ], ids=["not-an-object", "missing-field"])
+        (_STEP.replace('"expected_fa": 0.5', '"expected_fa": [1]'),
+         "<trace>:1: field 'expected_fa' must be a number"),
+        (_STEP.replace('"argmax_candidate": 0', '"argmax_candidate": true'),
+         "<trace>:1: field 'argmax_candidate' must be an integer"),
+        (_STEP.replace('"loss_total": 1.0', '"loss_total": "1.0"'),
+         "<trace>:1: field 'loss_total' must be a number"),
+    ], ids=["not-an-object", "missing-field", "list-float", "bool-int", "string-float"])
     def test_malformed_record_is_data_format_error(self, text, message):
         with pytest.raises(DataFormatError, match=message):
             read_trace_records(text)

@@ -1,9 +1,14 @@
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from scdkit import alignment, cli
 from scdkit.alignment import AlignmentCosts, brute_force_align
+from scdkit.dataio import parse_nbest, read_report, serialize_nbest
 from scdkit.risk import (
     NBest,
     RiskConfig,
@@ -15,6 +20,9 @@ from scdkit.risk import (
     risk_gradient,
 )
 from scdkit.tokens import SPEAKER_TURN, word
+from scdkit.trainer import TrainConfig, enumerate_candidates, st_vs_word_space, train
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def toks(text):
@@ -200,3 +208,70 @@ class TestGradient:
             centered_mean = sum(p * r for p, r in zip(b.per_hyp_prob, centered))
             g_centered = [p * (r - centered_mean) for p, r in zip(b.per_hyp_prob, centered)]
             assert g_centered == pytest.approx(g, abs=1e-12)
+
+
+@pytest.fixture
+def align_calls(monkeypatch):
+    """Hypotheses passed to ``align`` by any scdkit module, in call order."""
+    calls = []
+    original = alignment.align
+
+    def counted(reference, hypothesis, *args, **kwargs):
+        calls.append(tuple(hypothesis))
+        return original(reference, hypothesis, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("scdkit.") and vars(mod).get("align") is original:
+            monkeypatch.setattr(mod, "align", counted)
+    return calls
+
+
+class TestAlignOncePerHypothesis:
+    def test_cli_risk(self, align_calls, capsys):
+        path = FIXTURES / "nbest_small.jsonl"
+        hyps = [h.tokens for nb in parse_nbest(path.read_text()) for h in nb.hypotheses]
+        assert cli.main(["risk", "--nbest", str(path), "--format", "machine"]) == 0
+        assert align_calls == hyps
+        assert len(json.loads(capsys.readouterr().out)["batch"]["per_hyp_risk"]) == len(hyps)
+
+    @pytest.mark.parametrize("space", [
+        st_vs_word_space(),
+        enumerate_candidates(toks("a <st> b c"), 1, ["a", "b"], seed=3),
+    ], ids=["st-vs-word", "enumerated"])
+    def test_train(self, align_calls, space):
+        train(space, TrainConfig(steps=3, nbest_n=2))
+        assert align_calls == list(space.candidates)
+
+
+def random_scored_nbest(rng, uid, normalize):
+    pool = [word("a"), word("b"), word("c"), SPEAKER_TURN]
+    ref = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+    hyps = []
+    for _ in range(rng.randint(1, 6)):
+        tokens = tuple(rng.choice(pool) for _ in range(rng.randint(0, 9)))
+        score = rng.gauss(0.0, 3.0) if normalize else math.log(rng.uniform(0.01, 1.0))
+        hyps.append(ScoredHypothesis(tokens, score))
+    return NBest(uid, ref, tuple(hyps))
+
+
+@pytest.mark.parametrize("kind", list(RiskKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("normalize", [True, False], ids=["softmax", "log-probs"])
+@pytest.mark.parametrize("nbest_n", [None, 1, 3], ids=["all", "top1", "top3"])
+def test_cli_pooled_batch_equals_batch_loss(tmp_path, capsys, kind, normalize, nbest_n):
+    """The batch `scd risk` pools from its per-utterance reports is `batch_loss`."""
+    rng = random.Random(f"{kind.value}-{normalize}-{nbest_n}")
+    path = tmp_path / "utts.jsonl"
+    path.write_text(serialize_nbest(
+        [random_scored_nbest(rng, f"u{i}", normalize) for i in range(12)]))
+    argv = ["risk", "--nbest", str(path), "--format", "machine", "--risk-kind", kind.value,
+            "--beta", "7.5", "--lambda", "0.25", "--nll", "1.75",
+            "--nbest-n", "ALL" if nbest_n is None else str(nbest_n)]
+    if not normalize:
+        argv.append("--no-normalize")
+    assert cli.main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["batch"]
+
+    config = RiskConfig(beta=7.5, normalize_scores=normalize, risk_kind=kind)
+    records = [cli._top_hypotheses(nb, nbest_n) for nb in parse_nbest(path.read_text())]
+    assert read_report(json.dumps(printed)) == batch_loss(
+        records, nll_weight=0.25, nll=1.75, config=config)
