@@ -20,6 +20,7 @@ from .dataio import (
     DataFormatError,
     _pct,
     _precision_recall_rows,
+    _report_object,
     _segmentation_rows,
     _table,
     format_seconds,
@@ -33,6 +34,7 @@ from .dataio import (
 )
 from .metrics import (
     ChangeHypothesis,
+    _ms,
     f1_of_rates,
     pooled_precision_recall,
     pooled_segmentation,
@@ -81,6 +83,19 @@ def _positive_float(text: str) -> float:
     if v <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return v
+
+
+def _seconds(parse):
+    """The argument type ``parse`` that also rejects more than 3 decimal places."""
+    def seconds(text: str) -> float:
+        v = parse(text)
+        try:
+            _ms(v, "seconds")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected at most 3 decimal places, got {text!r}") from None
+        return v
+    return seconds
 
 
 def _positive_int(text: str) -> int:
@@ -182,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score predicted change stamps against an RTTM reference")
     p.add_argument("--ref", required=True, help="reference RTTM file")
     p.add_argument("--hyp", required=True, help="change-stamp file")
-    p.add_argument("--collar", type=_nonneg_float, default=0.25,
+    p.add_argument("--collar", type=_seconds(_nonneg_float), default=0.25,
                    help="matching tolerance in seconds (default 0.25)")
     p.add_argument("--recall-mode", choices=["count", "duration"], default="count",
                    help="which recall variant the table's recall/f1 rows use")
-    p.add_argument("--gap-merge", type=_nonneg_float, default=0.0,
+    p.add_argument("--gap-merge", type=_seconds(_nonneg_float), default=0.0,
                    help="pre-merge same-speaker gaps up to this many seconds (default 0 = off)")
     p.add_argument("--format", choices=[TABLE, MACHINE], default=TABLE)
     p.add_argument("--out", help="write output here instead of stdout")
@@ -194,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="split recordings into windows of whole segments")
     p.add_argument("--ref", required=True, help="reference RTTM file")
-    p.add_argument("--target", type=_positive_float, required=True,
+    p.add_argument("--target", type=_seconds(_positive_float), required=True,
                    help="target window length in seconds")
     p.add_argument("--out", help="write windows here instead of stdout")
     p.set_defaults(func=cmd_segment)
@@ -250,10 +265,10 @@ def cmd_risk(args) -> int:
     if args.format == MACHINE:
         obj = {
             "utterances": [
-                {"utterance_id": uid, "report": json.loads(write_report(rep, MACHINE))}
+                {"utterance_id": uid, "report": _report_object(rep)}
                 for uid, rep in per_utt
             ],
-            "batch": json.loads(write_report(batch, MACHINE)),
+            "batch": _report_object(batch),
         }
         _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
         return 0
@@ -339,14 +354,14 @@ def cmd_score(args) -> int:
             "recordings": [
                 {
                     "recording_id": rec_id,
-                    "precision_recall": json.loads(write_report(pr, MACHINE)),
-                    "segmentation": json.loads(write_report(seg, MACHINE)),
+                    "precision_recall": _report_object(pr),
+                    "segmentation": _report_object(seg),
                 }
                 for rec_id, pr, seg in sections
             ],
             "pooled": {
-                "precision_recall": json.loads(write_report(pooled_pr, MACHINE)),
-                "segmentation": json.loads(write_report(pooled_seg, MACHINE)),
+                "precision_recall": _report_object(pooled_pr),
+                "segmentation": _report_object(pooled_seg),
             },
         }
         _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)

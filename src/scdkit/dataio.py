@@ -28,6 +28,7 @@ from .metrics import (
     PrecisionRecallReport,
     SegmentationReport,
     SpeakerSegment,
+    _ms,
 )
 from .risk import LossBreakdown, NBest, ScoredHypothesis
 from .tokens import SPEAKER_TURN, ST_TEXT, Token, TokenSeq, seq_to_text, word
@@ -271,31 +272,34 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
     Segments accumulate in start order; a window closes at the first
     segment boundary where the window span reaches the target, except that
     a window never closes while the next segment overlaps it (windows stay
-    disjoint and never cut inside a segment).
+    disjoint and never cut inside a segment).  Lengths are compared in
+    exact integer milliseconds.
     """
-    if not (math.isfinite(target) and target > 0):
-        raise ValueError(f"target must be finite and > 0, got {target}")
-    segs = sorted(annotation.segments, key=lambda s: (s.start, s.end))
+    target_ms = _ms(target, "target")
+    if target_ms <= 0:
+        raise ValueError(f"target must be > 0, got {target}")
+    spans = sorted((_ms(s.start, "segment start"), _ms(s.end, "segment end"))
+                   for s in annotation.segments)
     windows: List[Tuple[float, float]] = []
-    win_start: Optional[float] = None
-    win_end = 0.0
+    win_start: Optional[int] = None
+    win_end = 0
     count = 0
-    for idx, seg in enumerate(segs):
+    for idx, (start, end) in enumerate(spans):
         if win_start is None:
-            win_start, win_end, count = seg.start, seg.end, 1
+            win_start, win_end, count = start, end, 1
         else:
-            win_end = max(win_end, seg.end)
+            win_end = max(win_end, end)
             count += 1
-        if seg.end - seg.start > target and count == 1:
+        if end - start > target_ms and count == 1:
             logger.warning(
                 "%s: segment [%s, %s] is longer than the %s s target; kept whole",
-                annotation.recording_id, seg.start, seg.end, target)
-        nxt = segs[idx + 1] if idx + 1 < len(segs) else None
-        if win_end - win_start >= target and (nxt is None or nxt.start >= win_end):
-            windows.append((win_start, win_end))
+                annotation.recording_id, start / 1000, end / 1000, target)
+        if win_end - win_start >= target_ms and (idx + 1 == len(spans)
+                                                 or spans[idx + 1][0] >= win_end):
+            windows.append((win_start / 1000, win_end / 1000))
             win_start = None
     if win_start is not None:
-        windows.append((win_start, win_end))
+        windows.append((win_start / 1000, win_end / 1000))
     return windows
 
 
@@ -400,13 +404,19 @@ def _from_json_object(cls, obj: Dict, where: str):
     return cls(**values)
 
 
-def write_report(report, format: str = TABLE) -> str:
-    """Render a report as a human table or lossless machine JSON."""
+def _report_object(report) -> Dict:
+    """The machine-JSON object of a report: its ``kind`` plus its fields."""
     kind = _REPORT_KINDS.get(type(report))
     if kind is None:
         raise TypeError(f"unsupported report type: {type(report).__name__}")
+    return {"kind": kind, **vars(report)}
+
+
+def write_report(report, format: str = TABLE) -> str:
+    """Render a report as a human table or lossless machine JSON."""
+    obj = _report_object(report)
     if format == MACHINE:
-        return json.dumps({"kind": kind, **vars(report)}, sort_keys=True) + "\n"
+        return json.dumps(obj, sort_keys=True) + "\n"
     if format != TABLE:
         raise ValueError(f"unknown report format {format!r}")
     return _table(_TABLE_ROWS[type(report)](report))

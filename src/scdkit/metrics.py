@@ -16,6 +16,13 @@ at the predicted change points) and vice versa.
 All three computations are sorted sweeps that only visit pairs that can
 match or overlap, so scoring S segments against P predictions takes
 O((S+P) log(S+P)) time for a bounded number of concurrent speakers.
+
+Time is exact integer milliseconds inside this module.  The public types
+keep float seconds, but their constructors and every time argument pass
+through ``_ms``, which rejects values off the millisecond grid, so
+``round(t * 1000)`` of a validated value is exact.  Spans are closed
+``(start_ms, end_ms)`` pairs; every comparison, overlap and duration sum
+is integer arithmetic, and reports divide by 1000 once.
 """
 
 from __future__ import annotations
@@ -23,9 +30,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .intervals import Interval, IntervalSet
+Span = Tuple[int, int]
+
+
+def _ms(seconds: float, what: str) -> int:
+    """``seconds`` as exact integer milliseconds.
+
+    Raises ValueError when the value is not finite or not on the
+    millisecond grid, the resolution the text formats carry.
+    """
+    scaled = seconds * 1000
+    if math.isfinite(scaled):
+        ms = round(scaled)
+        if ms / 1000 == seconds:
+            return ms
+    raise ValueError(f"{what} must be finite with at most 3 decimal places, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -37,12 +58,11 @@ class SpeakerSegment:
     def __post_init__(self) -> None:
         if not self.speaker:
             raise ValueError("speaker id must be non-empty")
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError(
-                f"segment [{self.start}, {self.end}] of {self.speaker!r} is not finite")
-        if self.start < 0:
+        start_ms, end_ms = (_ms(t, f"segment [{self.start}, {self.end}] of {self.speaker!r}")
+                            for t in (self.start, self.end))
+        if start_ms < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
-        if self.end <= self.start:
+        if end_ms <= start_ms:
             raise ValueError(
                 f"segment [{self.start}, {self.end}] of {self.speaker!r} has no duration")
 
@@ -73,8 +93,8 @@ class ChangeHypothesis:
 
     def __post_init__(self) -> None:
         stamps = tuple(sorted(set(self.timestamps)))
-        if not all(math.isfinite(t) for t in stamps):
-            raise ValueError(f"timestamps of {self.recording_id!r} must be finite")
+        for t in stamps:
+            _ms(t, f"timestamps of {self.recording_id!r}")
         object.__setattr__(self, "timestamps", stamps)
 
 
@@ -98,15 +118,15 @@ class PrecisionRecallReport:
 
     @classmethod
     def from_counts(cls, *, n_kept: int, n_dropped: int, n_correct: int, n_intervals: int,
-                    n_hit: int, hit_duration: float, total_duration: float,
+                    n_hit: int, hit_ms: int, total_ms: int,
                     collar: float) -> "PrecisionRecallReport":
-        """Rates and F1 from raw counts.
+        """Rates and F1 from raw counts and integer-millisecond durations.
 
         A rate whose denominator is zero is None; F1 follows ``f1_of_rates``.
         """
         precision = n_correct / n_kept if n_kept > 0 else None
         recall_count = n_hit / n_intervals if n_intervals > 0 else None
-        recall_duration = hit_duration / total_duration if total_duration > 0 else None
+        recall_duration = hit_ms / total_ms if total_ms > 0 else None
         return cls(
             precision=precision,
             recall_count=recall_count,
@@ -120,8 +140,8 @@ class PrecisionRecallReport:
             n_hit=n_hit,
             n_fr=n_intervals - n_hit,
             collar=collar,
-            hit_duration=hit_duration,
-            total_duration=total_duration,
+            hit_duration=hit_ms / 1000,
+            total_duration=total_ms / 1000,
         )
 
 
@@ -156,38 +176,51 @@ def merge_speaker_gaps(annotation: Annotation, gap_merge: float) -> Annotation:
 
     ``gap_merge`` <= 0 returns the annotation unchanged.
     """
-    if not math.isfinite(gap_merge):
-        raise ValueError(f"gap_merge must be finite, got {gap_merge}")
-    if gap_merge <= 0:
+    gap_ms = _ms(gap_merge, "gap_merge")
+    if gap_ms <= 0:
         return annotation
-    by_speaker: Dict[str, List[SpeakerSegment]] = {}
-    for seg in annotation.segments:
-        by_speaker.setdefault(seg.speaker, []).append(seg)
-    merged: List[SpeakerSegment] = []
-    for speaker, segs in by_speaker.items():
-        segs.sort(key=lambda s: (s.start, s.end))
-        cur_start, cur_end = segs[0].start, segs[0].end
-        for seg in segs[1:]:
-            if seg.start - cur_end <= gap_merge:
-                cur_end = max(cur_end, seg.end)
+    merged: List[Tuple[int, int, str]] = []
+    for speaker, spans in speaker_coverage(annotation).items():
+        cur_start, cur_end = spans[0]
+        for start, end in spans[1:]:
+            if start - cur_end <= gap_ms:
+                cur_end = end
             else:
-                merged.append(SpeakerSegment(speaker, cur_start, cur_end))
-                cur_start, cur_end = seg.start, seg.end
-        merged.append(SpeakerSegment(speaker, cur_start, cur_end))
-    merged.sort(key=lambda s: (s.start, s.end, s.speaker))
-    return Annotation(annotation.recording_id, tuple(merged))
+                merged.append((cur_start, cur_end, speaker))
+                cur_start, cur_end = start, end
+        merged.append((cur_start, cur_end, speaker))
+    merged.sort()
+    return Annotation(annotation.recording_id, tuple(
+        SpeakerSegment(speaker, start / 1000, end / 1000) for start, end, speaker in merged))
 
 
-def speaker_coverage(annotation: Annotation) -> Dict[str, IntervalSet]:
-    """Each speaker's own segments unioned into a normalized interval set."""
-    by_speaker: Dict[str, List[Interval]] = {}
+def _union(spans: Iterable[Span]) -> Tuple[Span, ...]:
+    """Sorted, pairwise-disjoint spans covering ``spans``.
+
+    Overlapping or touching spans merge, which absorbs a zero-length point
+    lying inside or on the edge of another span; a lone point is kept.
+    """
+    merged: List[Span] = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return tuple(merged)
+
+
+def speaker_coverage(annotation: Annotation) -> Dict[str, Tuple[Span, ...]]:
+    """Each speaker's own segments as the union of their spans."""
+    by_speaker: Dict[str, List[Span]] = {}
     for seg in annotation.segments:
-        by_speaker.setdefault(seg.speaker, []).append(Interval(seg.start, seg.end))
-    return {spk: IntervalSet(ivs) for spk, ivs in by_speaker.items()}
+        by_speaker.setdefault(seg.speaker, []).append(
+            (round(seg.start * 1000), round(seg.end * 1000)))
+    return {spk: _union(spans) for spk, spans in by_speaker.items()}
 
 
-def _coverage_pieces(annotation: Annotation) -> List[Tuple[float, float, int]]:
-    """Elementary (start, end, n_speakers) pieces over [t_min, t_max].
+def _coverage_pieces(annotation: Annotation) -> List[Tuple[int, int, int]]:
+    """Elementary (start_ms, end_ms, n_speakers) pieces over the annotated span.
 
     Pieces alternate between boundary points (zero length) and the open
     gaps between consecutive boundaries, in time order.  Within each piece
@@ -195,19 +228,19 @@ def _coverage_pieces(annotation: Annotation) -> List[Tuple[float, float, int]]:
     endpoint coverage is accounted for by the point pieces.
 
     One sweep over the sorted boundaries keeps a running count of open
-    intervals.  Each speaker's coverage is normalized, so its intervals
-    neither overlap nor touch and the count is the number of speakers: at
-    a boundary it is the intervals still open plus those starting there,
-    and on the following gap it loses those ending there.
+    spans.  Each speaker's coverage is a union, so its spans neither
+    overlap nor touch and the count is the number of speakers: at a
+    boundary it is the spans still open plus those starting there, and on
+    the following gap it loses those ending there.
     """
-    starts: Dict[float, int] = {}
-    ends: Dict[float, int] = {}
-    for ivs in speaker_coverage(annotation).values():
-        for iv in ivs:
-            starts[iv.start] = starts.get(iv.start, 0) + 1
-            ends[iv.end] = ends.get(iv.end, 0) + 1
+    starts: Dict[int, int] = {}
+    ends: Dict[int, int] = {}
+    for spans in speaker_coverage(annotation).values():
+        for start, end in spans:
+            starts[start] = starts.get(start, 0) + 1
+            ends[end] = ends.get(end, 0) + 1
     bounds = sorted(starts.keys() | ends.keys())
-    pieces: List[Tuple[float, float, int]] = []
+    pieces: List[Tuple[int, int, int]] = []
     active = 0
     for idx, b in enumerate(bounds):
         at_point = active + starts.get(b, 0)
@@ -218,41 +251,35 @@ def _coverage_pieces(annotation: Annotation) -> List[Tuple[float, float, int]]:
     return pieces
 
 
-def _runs(pieces: Sequence[Tuple[float, float, int]], keep) -> IntervalSet:
-    runs: List[Interval] = []
-    run_start: Optional[float] = None
-    run_end = 0.0
+def _runs(pieces: Sequence[Tuple[int, int, int]], keep) -> Tuple[Span, ...]:
+    runs: List[Span] = []
+    run_start: Optional[int] = None
+    run_end = 0
     for start, end, count in pieces:
         if keep(count):
             if run_start is None:
                 run_start = start
             run_end = end
         elif run_start is not None:
-            runs.append(Interval(run_start, run_end))
+            runs.append((run_start, run_end))
             run_start = None
     if run_start is not None:
-        runs.append(Interval(run_start, run_end))
-    return IntervalSet(runs)
+        runs.append((run_start, run_end))
+    return _union(runs)
 
 
-def mono_speaker_ranges(annotation: Annotation) -> IntervalSet:
-    """Time within the annotated span covered by exactly one speaker."""
+def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:
+    """``(start_ms, end_ms)`` spans of the annotated span covered by exactly one speaker."""
     return _runs(_coverage_pieces(annotation), lambda c: c == 1)
 
 
-def change_intervals(annotation: Annotation) -> IntervalSet:
-    """Complement of the mono-speaker ranges within the annotated span.
+def change_intervals(annotation: Annotation) -> Tuple[Span, ...]:
+    """Complement of the mono-speaker ranges within the annotated span, in ms.
 
     Includes multi-speaker overlap, unannotated gaps, and zero-length
     switching points where one speaker ends exactly as another begins.
     """
     return _runs(_coverage_pieces(annotation), lambda c: c != 1)
-
-
-def _split_hypothesis(hypothesis: ChangeHypothesis, t_min: float, t_max: float):
-    kept = [t for t in hypothesis.timestamps if t_min <= t <= t_max]
-    dropped = len(hypothesis.timestamps) - len(kept)
-    return kept, dropped
 
 
 def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
@@ -266,25 +293,27 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     if annotation.recording_id != hypothesis.recording_id:
         raise ValueError(
             f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
-    if not (math.isfinite(collar) and collar >= 0):
-        raise ValueError(f"collar must be finite and >= 0, got {collar}")
-    ann = merge_speaker_gaps(annotation, gap_merge)
-    intervals = change_intervals(ann)
-    kept, dropped = _split_hypothesis(hypothesis, ann.t_min, ann.t_max)
+    collar_ms = _ms(collar, "collar")
+    if collar_ms < 0:
+        raise ValueError(f"collar must be >= 0, got {collar}")
+    pieces = _coverage_pieces(merge_speaker_gaps(annotation, gap_merge))
+    intervals = _runs(pieces, lambda c: c != 1)
+    t_min, t_max = pieces[0][0], pieces[-1][1]
+    kept = [t for t in (round(t * 1000) for t in hypothesis.timestamps) if t_min <= t <= t_max]
 
     # The change intervals are sorted and disjoint, so those touching the
     # window [t - collar, t + collar] form one run: from the first ending at
     # or after t - collar to the last starting at or before t + collar.
     # Kept predictions are sorted, so the runs only move right and each
     # interval is marked hit at most once.
-    starts = [iv.start for iv in intervals]
-    ends = [iv.end for iv in intervals]
+    starts = [start for start, _ in intervals]
+    ends = [end for _, end in intervals]
     hit = [False] * len(intervals)
     n_correct = 0
     marked = 0
     for t in kept:
-        first = bisect_left(ends, t - collar)
-        last = bisect_right(starts, t + collar)
+        first = bisect_left(ends, t - collar_ms)
+        last = bisect_right(starts, t + collar_ms)
         if first < last:
             n_correct += 1
             for idx in range(max(first, marked), last):
@@ -293,32 +322,51 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
 
     return PrecisionRecallReport.from_counts(
         n_kept=len(kept),
-        n_dropped=dropped,
+        n_dropped=len(hypothesis.timestamps) - len(kept),
         n_correct=n_correct,
         n_intervals=len(intervals),
         n_hit=sum(hit),
-        hit_duration=sum(iv.duration for iv, h in zip(intervals, hit) if h),
-        total_duration=intervals.total_duration,
+        hit_ms=sum(end - start for (start, end), h in zip(intervals, hit) if h),
+        total_ms=sum(end - start for start, end in intervals),
         collar=collar,
     )
 
 
-def reference_units(annotation: Annotation) -> List[Tuple[str, Interval]]:
-    """Per-speaker contiguous coverage intervals, the units of coverage scoring."""
-    units: List[Tuple[str, Interval]] = []
-    for speaker, ivs in speaker_coverage(annotation).items():
-        for iv in ivs:
-            units.append((speaker, iv))
-    units.sort(key=lambda u: (u[1].start, u[1].end, u[0]))
+def reference_units(annotation: Annotation) -> List[Tuple[str, Span]]:
+    """Per-speaker contiguous coverage spans, the units of coverage scoring."""
+    units = [(speaker, span) for speaker, spans in speaker_coverage(annotation).items()
+             for span in spans]
+    units.sort(key=lambda u: (u[1], u[0]))
     return units
 
 
-def hypothesis_segments(annotation: Annotation, hypothesis: ChangeHypothesis) -> List[Interval]:
-    """The annotated span cut at the kept prediction timestamps."""
-    t_min, t_max = annotation.t_min, annotation.t_max
-    cuts = [t for t in hypothesis.timestamps if t_min < t < t_max]
+def hypothesis_segments(annotation: Annotation, hypothesis: ChangeHypothesis) -> List[Span]:
+    """The annotated span cut at the kept prediction timestamps, in ms."""
+    t_min = min(round(s.start * 1000) for s in annotation.segments)
+    t_max = max(round(s.end * 1000) for s in annotation.segments)
+    cuts = [t for t in (round(t * 1000) for t in hypothesis.timestamps) if t_min < t < t_max]
     bounds = [t_min] + cuts + [t_max]
-    return [Interval(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _overlap(a: Span, b: Span) -> int:
+    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
+
+
+def _segmentation_report(pur_num: int, pur_den: int,
+                         cov_num: int, cov_den: int) -> SegmentationReport:
+    """Scores from integer-millisecond overlap sums; a zero denominator scores 0."""
+    purity = pur_num / pur_den if pur_den > 0 else 0.0
+    coverage = cov_num / cov_den if cov_den > 0 else 0.0
+    return SegmentationReport(
+        purity=purity,
+        coverage=coverage,
+        f1=f1_score(purity, coverage),
+        purity_num=pur_num / 1000,
+        purity_den=pur_den / 1000,
+        coverage_num=cov_num / 1000,
+        coverage_den=cov_den / 1000,
+    )
 
 
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
@@ -328,50 +376,43 @@ def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
         raise ValueError(
             f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
     ann = merge_speaker_gaps(annotation, gap_merge)
-    refs = [iv for _, iv in reference_units(ann)]
+    refs = [span for _, span in reference_units(ann)]
     hyps = hypothesis_segments(ann, hypothesis)
 
     # Only pairs with positive overlap are visited; every other pair
-    # overlaps by 0.0, which is also each max's default.  The hypothesis
+    # overlaps by 0, which is also each max's default.  The hypothesis
     # segments partition the span, so a reference unit overlaps one run of
     # them.
-    hyp_starts = [h.start for h in hyps]
-    hyp_ends = [h.end for h in hyps]
-    cov_num = 0.0
-    cov_den = 0.0
-    for ref_iv in refs:
-        run = hyps[bisect_right(hyp_ends, ref_iv.start):bisect_left(hyp_starts, ref_iv.end)]
-        cov_num += max((ref_iv.overlap(h) for h in run), default=0.0)
-        cov_den += ref_iv.duration
+    hyp_starts = [start for start, _ in hyps]
+    hyp_ends = [end for _, end in hyps]
+    cov_num = 0
+    cov_den = 0
+    for ref in refs:
+        run = hyps[bisect_right(hyp_ends, ref[0]):bisect_left(hyp_starts, ref[1])]
+        cov_num += max((_overlap(ref, h) for h in run), default=0)
+        cov_den += ref[1] - ref[0]
     # Reference units in start order join the active list once they start
     # before the segment ends and leave it once they end at or before its start.
-    pur_num = 0.0
-    pur_den = 0.0
-    active: List[Interval] = []
+    pur_num = 0
+    pur_den = 0
+    active: List[Span] = []
     joined = 0
     for h in hyps:
-        while joined < len(refs) and refs[joined].start < h.end:
+        while joined < len(refs) and refs[joined][0] < h[1]:
             active.append(refs[joined])
             joined += 1
-        active = [ref_iv for ref_iv in active if ref_iv.end > h.start]
-        pur_num += max((h.overlap(ref_iv) for ref_iv in active), default=0.0)
-        pur_den += h.duration
-
-    coverage = cov_num / cov_den
-    purity = pur_num / pur_den
-    return SegmentationReport(
-        purity=purity,
-        coverage=coverage,
-        f1=f1_score(purity, coverage),
-        purity_num=pur_num,
-        purity_den=pur_den,
-        coverage_num=cov_num,
-        coverage_den=cov_den,
-    )
+        active = [ref for ref in active if ref[1] > h[0]]
+        pur_num += max((_overlap(h, ref) for ref in active), default=0)
+        pur_den += h[1] - h[0]
+    return _segmentation_report(pur_num, pur_den, cov_num, cov_den)
 
 
 def pooled_precision_recall(reports: Sequence[PrecisionRecallReport]) -> PrecisionRecallReport:
-    """Corpus-level report from summed raw counts (not averaged rates)."""
+    """Corpus-level report from summed raw counts (not averaged rates).
+
+    Durations are summed in exact milliseconds; one off the millisecond
+    grid raises ValueError.
+    """
     if not reports:
         raise ValueError("nothing to pool")
     collars = {r.collar for r in reports}
@@ -383,28 +424,17 @@ def pooled_precision_recall(reports: Sequence[PrecisionRecallReport]) -> Precisi
         n_correct=sum(r.n_correct for r in reports),
         n_intervals=sum(r.n_intervals for r in reports),
         n_hit=sum(r.n_hit for r in reports),
-        hit_duration=sum(r.hit_duration for r in reports),
-        total_duration=sum(r.total_duration for r in reports),
+        hit_ms=sum(_ms(r.hit_duration, "hit_duration") for r in reports),
+        total_ms=sum(_ms(r.total_duration, "total_duration") for r in reports),
         collar=reports[0].collar,
     )
 
 
 def pooled_segmentation(reports: Sequence[SegmentationReport]) -> SegmentationReport:
-    """Corpus-level purity/coverage from summed overlap durations."""
+    """Corpus-level purity/coverage from overlap durations summed in exact
+    milliseconds; one off the millisecond grid raises ValueError."""
     if not reports:
         raise ValueError("nothing to pool")
-    pur_num = sum(r.purity_num for r in reports)
-    pur_den = sum(r.purity_den for r in reports)
-    cov_num = sum(r.coverage_num for r in reports)
-    cov_den = sum(r.coverage_den for r in reports)
-    purity = pur_num / pur_den if pur_den > 0 else 0.0
-    coverage = cov_num / cov_den if cov_den > 0 else 0.0
-    return SegmentationReport(
-        purity=purity,
-        coverage=coverage,
-        f1=f1_score(purity, coverage),
-        purity_num=pur_num,
-        purity_den=pur_den,
-        coverage_num=cov_num,
-        coverage_den=cov_den,
-    )
+    return _segmentation_report(*(sum(_ms(getattr(r, name), name) for r in reports)
+                                  for name in ("purity_num", "purity_den",
+                                               "coverage_num", "coverage_den")))

@@ -35,6 +35,8 @@ class HypothesisSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "reference", as_token_seq(self.reference))
         object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
+        if not self.reference:
+            raise ValueError(f"reference of {self.utterance_id!r} is empty")
         if len(self.candidates) < 2:
             raise ValueError("need at least two candidates")
         if len(set(self.candidates)) != len(self.candidates):

@@ -5,18 +5,19 @@ sorted sweeps: every boundary against every speaker interval, every
 prediction against every change interval, every reference unit against
 every hypothesis segment.  They are kept only as a differential oracle;
 the sweeps must reproduce their reports exactly, not approximately.
+Like the sweeps, they work on closed ``(start_ms, end_ms)`` spans in
+integer milliseconds.
 """
 
 from typing import List, Tuple
 
-from scdkit.intervals import IntervalSet
 from scdkit.metrics import (
     Annotation,
     ChangeHypothesis,
     PrecisionRecallReport,
     SegmentationReport,
+    Span,
     _runs,
-    _split_hypothesis,
     f1_score,
     hypothesis_segments,
     merge_speaker_gaps,
@@ -25,19 +26,19 @@ from scdkit.metrics import (
 )
 
 
-def coverage_pieces(annotation: Annotation) -> List[Tuple[float, float, int]]:
+def coverage_pieces(annotation: Annotation) -> List[Tuple[int, int, int]]:
     coverage = speaker_coverage(annotation)
-    bounds = sorted({b for ivs in coverage.values() for iv in ivs for b in (iv.start, iv.end)})
-    pieces: List[Tuple[float, float, int]] = []
+    bounds = sorted({b for spans in coverage.values() for span in spans for b in span})
+    pieces: List[Tuple[int, int, int]] = []
 
-    def count_at_point(t: float) -> int:
-        return sum(1 for ivs in coverage.values()
-                   if any(iv.start <= t <= iv.end for iv in ivs))
+    def count_at_point(t: int) -> int:
+        return sum(1 for spans in coverage.values()
+                   if any(start <= t <= end for start, end in spans))
 
-    def count_on_open(lo: float, hi: float) -> int:
+    def count_on_open(lo: int, hi: int) -> int:
         return sum(
-            1 for ivs in coverage.values()
-            if any(iv.start <= lo and hi <= iv.end for iv in ivs))
+            1 for spans in coverage.values()
+            if any(start <= lo and hi <= end for start, end in spans))
 
     for idx, b in enumerate(bounds):
         pieces.append((b, b, count_at_point(b)))
@@ -47,27 +48,31 @@ def coverage_pieces(annotation: Annotation) -> List[Tuple[float, float, int]]:
     return pieces
 
 
-def mono_speaker_ranges(annotation: Annotation) -> IntervalSet:
+def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:
     return _runs(coverage_pieces(annotation), lambda c: c == 1)
 
 
-def change_intervals(annotation: Annotation) -> IntervalSet:
+def change_intervals(annotation: Annotation) -> Tuple[Span, ...]:
     return _runs(coverage_pieces(annotation), lambda c: c != 1)
 
 
 def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
                   collar: float = 0.25, gap_merge: float = 0.0) -> PrecisionRecallReport:
+    collar_ms = round(collar * 1000)
     ann = merge_speaker_gaps(annotation, gap_merge)
     intervals = change_intervals(ann)
-    kept, dropped = _split_hypothesis(hypothesis, ann.t_min, ann.t_max)
+    t_min, t_max = round(ann.t_min * 1000), round(ann.t_max * 1000)
+    stamps = [round(t * 1000) for t in hypothesis.timestamps]
+    kept = [t for t in stamps if t_min <= t <= t_max]
+    dropped = len(stamps) - len(kept)
 
     n_correct = 0
     hit = [False] * len(intervals)
     for t in kept:
-        lo, hi = t - collar, t + collar
+        lo, hi = t - collar_ms, t + collar_ms
         matched = False
-        for idx, iv in enumerate(intervals.intervals):
-            if iv.intersects(lo, hi):
+        for idx, (start, end) in enumerate(intervals):
+            if max(start, lo) <= min(end, hi):  # closed intervals; shared endpoints count
                 hit[idx] = True
                 matched = True
         if matched:
@@ -76,12 +81,12 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     n_kept = len(kept)
     n_intervals = len(intervals)
     n_hit = sum(hit)
-    total_dur = intervals.total_duration
-    hit_dur = sum(iv.duration for iv, h in zip(intervals.intervals, hit) if h)
+    total_ms = sum(end - start for start, end in intervals)
+    hit_ms = sum(end - start for (start, end), h in zip(intervals, hit) if h)
 
     precision = n_correct / n_kept if n_kept > 0 else None
     recall_count = n_hit / n_intervals if n_intervals > 0 else None
-    recall_duration = hit_dur / total_dur if total_dur > 0 else None
+    recall_duration = hit_ms / total_ms if total_ms > 0 else None
     if precision is None or recall_count is None or (precision == 0 and recall_count == 0):
         f1 = None
     else:
@@ -99,27 +104,30 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
         n_hit=n_hit,
         n_fr=n_intervals - n_hit,
         collar=collar,
-        hit_duration=hit_dur,
-        total_duration=total_dur,
+        hit_duration=hit_ms / 1000,
+        total_duration=total_ms / 1000,
     )
 
 
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
                     gap_merge: float = 0.0) -> SegmentationReport:
     ann = merge_speaker_gaps(annotation, gap_merge)
-    refs = reference_units(ann)
+    refs = [span for _, span in reference_units(ann)]
     hyps = hypothesis_segments(ann, hypothesis)
 
-    cov_num = 0.0
-    cov_den = 0.0
-    for _, ref_iv in refs:
-        cov_num += max(ref_iv.overlap(h) for h in hyps)
-        cov_den += ref_iv.duration
-    pur_num = 0.0
-    pur_den = 0.0
+    def overlap(a: Span, b: Span) -> int:
+        return max(0, min(a[1], b[1]) - max(a[0], b[0]))
+
+    cov_num = 0
+    cov_den = 0
+    for ref in refs:
+        cov_num += max(overlap(ref, h) for h in hyps)
+        cov_den += ref[1] - ref[0]
+    pur_num = 0
+    pur_den = 0
     for h in hyps:
-        pur_num += max(h.overlap(ref_iv) for _, ref_iv in refs)
-        pur_den += h.duration
+        pur_num += max(overlap(h, ref) for ref in refs)
+        pur_den += h[1] - h[0]
 
     coverage = cov_num / cov_den
     purity = pur_num / pur_den
@@ -127,8 +135,8 @@ def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
         purity=purity,
         coverage=coverage,
         f1=f1_score(purity, coverage),
-        purity_num=pur_num,
-        purity_den=pur_den,
-        coverage_num=cov_num,
-        coverage_den=cov_den,
+        purity_num=pur_num / 1000,
+        purity_den=pur_den / 1000,
+        coverage_num=cov_num / 1000,
+        coverage_den=cov_den / 1000,
     )

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from _alignment_oracle import brute_force_align
 from _scenarios import random_annotation, random_hypothesis
-from scdkit.alignment import AlignmentCosts, ErrorCounts, align, brute_force_align
+from scdkit.alignment import AlignmentCosts, ErrorCounts, align
 from scdkit.dataio import (
     parse_change_stamps,
     parse_nbest,

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _alignment_oracle import brute_force_align, cost_from_ops
 from scdkit.alignment import (
     AlignmentCosts,
     ErrorCounts,
     OpKind,
     align,
-    brute_force_align,
-    cost_from_ops,
     counts_from_ops,
     k_to_milli,
 )

@@ -161,6 +161,11 @@ def test_usage_errors_exit_1():
     ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "1e400"),
     ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "0"),
     ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "-1"),
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--collar", "0.2501"),
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--gap-merge", "1.0005"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "12.0001"),
 ])
 def test_bad_values_are_usage_errors_exit_1(argv):
     proc = run_cli(*argv)

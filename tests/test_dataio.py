@@ -223,6 +223,26 @@ class TestSegmentLongform:
         for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
             assert e1 <= s2
 
+    def test_window_exactly_target_long_closes_without_warning(self, caplog):
+        # one segment, or two touching ones, exactly target long, then a
+        # later segment no longer than the target
+        rng = random.Random(4444)
+        misses = []
+        for _ in range(3000):
+            start = rng.randint(0, 60000)
+            target = rng.randint(2, 20000)
+            split = start + rng.choice([target, rng.randint(1, target - 1)])
+            end = start + target
+            nxt = end + rng.randint(0, 2000)
+            segs = [("A", start, split), ("B", split, end), ("C", nxt, nxt + rng.randint(1, target))]
+            a = ann("r", *((spk, s / 1000, e / 1000) for spk, s, e in segs if e > s))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                windows = segment_longform(a, target / 1000)
+            if windows[0] != (start / 1000, end / 1000) or caplog.records:
+                misses.append((start, split, end, target))
+        assert misses == []
+
     def test_target_must_be_positive(self):
         for target in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Byte-exact CLI output pinned against committed golden files.
 
 Each case runs ``python -m scdkit`` on committed fixtures and compares
-stdout and the exit code with ``fixtures/golden/<name>.stdout`` and
-``<name>.code``.  The goldens are evidence of what the CLI printed when
+stdout, stderr and the exit code with ``fixtures/golden/<name>.stdout``,
+``<name>.stderr`` and ``<name>.code``.  The fixtures directory is written
+as ``<FIXTURES>`` in the stderr files, so they do not depend on where the
+repository is checked out.  The goldens are evidence of what the CLI printed when
 they were captured; a change that alters them must say so, not
 regenerate them.
 """
@@ -53,3 +55,5 @@ def test_cli_output_matches_golden(name):
     proc = run_case(CASES[name])
     assert proc.returncode == int((GOLDEN / f"{name}.code").read_text())
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    stderr = proc.stderr.replace(str(FIXTURES).encode(), b"<FIXTURES>")
+    assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()

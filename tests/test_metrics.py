@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from _scenarios import random_annotation, random_hypothesis, random_partition_annotation
-from scdkit.intervals import Interval, IntervalSet
+from scdkit.dataio import segment_longform
 from scdkit.metrics import (
     Annotation,
     ChangeHypothesis,
@@ -17,6 +18,7 @@ from scdkit.metrics import (
     pooled_segmentation,
     purity_coverage,
     score_changes,
+    _union,
 )
 
 
@@ -27,33 +29,41 @@ def ann(rec_id, *segs):
 FIG1 = ann("fig1", ("A", 0.0, 10.0), ("B", 10.5, 20.0), ("C", 19.0, 25.0))
 
 
+def overlap(a, b):
+    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
+
+
 class TestIntervalSet:
+    """Interval sets are sorted tuples of disjoint (start_ms, end_ms) spans."""
+
     def test_merges_overlap_and_touch(self):
-        s = IntervalSet([(0.0, 2.0), (2.0, 3.0), (2.5, 4.0), (6.0, 7.0)])
-        assert s.intervals == (Interval(0.0, 4.0), Interval(6.0, 7.0))
+        s = _union([(0, 2000), (2000, 3000), (2500, 4000), (6000, 7000)])
+        assert s == ((0, 4000), (6000, 7000))
 
     def test_absorbs_inner_point_keeps_lone_point(self):
-        s = IntervalSet([(0.0, 4.0), (2.0, 2.0), (9.0, 9.0)])
-        assert s.intervals == (Interval(0.0, 4.0), Interval(9.0, 9.0))
+        s = _union([(0, 4000), (2000, 2000), (9000, 9000)])
+        assert s == ((0, 4000), (9000, 9000))
 
     def test_zero_length_intersection_counts(self):
-        s = IntervalSet([(10.0, 10.0)])
-        assert s.intersects(9.75, 10.0)
-        assert not s.intersects(9.0, 9.99)
+        a = ann("r", ("A", 0.0, 10.0), ("B", 10.0, 20.0))
+        assert change_intervals(a) == ((10000, 10000),)
+        # the window [9.75, 10.0] ends on the point; [9.01, 9.99] misses it
+        assert score_changes(a, ChangeHypothesis("r", (9.875,)), collar=0.125).n_correct == 1
+        assert score_changes(a, ChangeHypothesis("r", (9.5,)), collar=0.49).n_correct == 0
 
     def test_rejects_backwards_interval(self):
         with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+            SpeakerSegment("A", 2.0, 1.0)
 
 
 class TestMonoSpeakerRanges:
     def test_three_speaker_layout(self):
         u = mono_speaker_ranges(FIG1)
-        assert u == IntervalSet([(0.0, 10.0), (10.5, 19.0), (20.0, 25.0)])
+        assert u == ((0, 10000), (10500, 19000), (20000, 25000))
 
     def test_single_speaker(self):
         u = mono_speaker_ranges(ann("r", ("A", 0.0, 5.0)))
-        assert u == IntervalSet([(0.0, 5.0)])
+        assert u == ((0, 5000),)
 
     def test_full_overlap_has_no_mono_time(self):
         u = mono_speaker_ranges(ann("r", ("A", 0.0, 5.0), ("B", 0.0, 5.0)))
@@ -61,24 +71,39 @@ class TestMonoSpeakerRanges:
 
     def test_same_speaker_overlap_is_mono(self):
         u = mono_speaker_ranges(ann("r", ("A", 0.0, 5.0), ("A", 3.0, 8.0)))
-        assert u == IntervalSet([(0.0, 8.0)])
+        assert u == ((0, 8000),)
 
 
 class TestChangeIntervals:
     def test_three_speaker_layout(self):
         ubar = change_intervals(FIG1)
-        assert ubar == IntervalSet([(10.0, 10.5), (19.0, 20.0)])
+        assert ubar == ((10000, 10500), (19000, 20000))
 
     def test_exact_switch_is_zero_length_point(self):
         ubar = change_intervals(ann("r", ("A", 0.0, 10.0), ("B", 10.0, 20.0)))
-        assert ubar == IntervalSet([(10.0, 10.0)])
+        assert ubar == ((10000, 10000),)
 
     def test_single_speaker_empty(self):
         assert len(change_intervals(ann("r", ("A", 0.0, 5.0)))) == 0
 
     def test_same_speaker_gap_is_a_change_interval(self):
         ubar = change_intervals(ann("r", ("A", 0.0, 5.0), ("A", 6.0, 10.0)))
-        assert ubar == IntervalSet([(5.0, 6.0)])
+        assert ubar == ((5000, 6000),)
+
+    def test_gap_exactly_gap_merge_merges(self):
+        rng = random.Random(4343)
+        misses = []
+        for _ in range(3000):
+            first_end = rng.randint(1, 60000)
+            gap = rng.randint(1, 3000)
+            second = (first_end + gap, first_end + gap + rng.randint(1, 5000))
+            a = ann("r", ("A", 0.0, first_end / 1000), ("A", second[0] / 1000, second[1] / 1000))
+            merged = merge_speaker_gaps(a, gap / 1000).segments
+            if merged != (SpeakerSegment("A", 0.0, second[1] / 1000),):
+                misses.append((first_end, gap))
+            # one millisecond less and the gap stays
+            assert merge_speaker_gaps(a, (gap - 1) / 1000) == a
+        assert misses == []
 
     def test_gap_merge_removes_small_same_speaker_gap(self):
         a = ann("r", ("A", 0.0, 5.0), ("A", 6.0, 10.0))
@@ -93,10 +118,9 @@ class TestChangeIntervals:
         a = random_annotation(rng)
         u = mono_speaker_ranges(a)
         ubar = change_intervals(a)
-        merged = IntervalSet(list(u) + list(ubar))
-        assert merged == IntervalSet([(a.t_min, a.t_max)])
-        cross = sum(x.overlap(y) for x in u for y in ubar)
-        assert cross == 0.0
+        assert _union(u + ubar) == ((round(a.t_min * 1000), round(a.t_max * 1000)),)
+        cross = sum(overlap(x, y) for x in u for y in ubar)
+        assert cross == 0
 
 
 class TestScoreChanges:
@@ -154,6 +178,23 @@ class TestScoreChanges:
         assert r.n_correct == 1
         assert r.recall_count == 1.0
         assert r.recall_duration is None  # the only interval has zero duration
+
+    def test_prediction_exactly_one_collar_away_matches(self):
+        # A ends at a_end and B starts at b_start, so [a_end, b_start] is the
+        # change interval (a point when they touch); a prediction exactly one
+        # collar before it or after it must match.
+        rng = random.Random(4242)
+        misses = []
+        for _ in range(3000):
+            a_end = rng.randint(1, 60000)
+            b_start = a_end + rng.choice([0, rng.randint(1, 3000)])
+            collar = rng.randint(0, 2000)
+            a = ann("r", ("A", 0.0, a_end / 1000), ("B", b_start / 1000, (b_start + 5000) / 1000))
+            t = rng.choice([max(0, a_end - collar), b_start + collar])
+            r = score_changes(a, ChangeHypothesis("r", (t / 1000,)), collar=collar / 1000)
+            if t in (a_end - collar, b_start + collar) and r.n_correct != 1:
+                misses.append((a_end, b_start, collar, t))
+        assert misses == []
 
     @pytest.mark.parametrize("seed", range(25))
     def test_collar_monotonicity(self, seed):
@@ -223,7 +264,7 @@ class TestPurityCoverage:
     def test_cut_at_span_edges_is_ignored(self):
         a = ann("r", ("A", 0.0, 10.0))
         segs = hypothesis_segments(a, ChangeHypothesis("r", (0.0, 10.0)))
-        assert segs == [Interval(0.0, 10.0)]
+        assert segs == [(0, 10000)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):
@@ -246,7 +287,8 @@ class TestPurityCoverage:
         # annotation's interior boundaries become the predictions
         hyp_segs = hypothesis_segments(a, h)
         dual_ann = Annotation(a.recording_id, tuple(
-            SpeakerSegment(f"h{i}", iv.start, iv.end) for i, iv in enumerate(hyp_segs)))
+            SpeakerSegment(f"h{i}", start / 1000, end / 1000)
+            for i, (start, end) in enumerate(hyp_segs)))
         interior = tuple(s.end for s in a.segments[:-1])
         dual_hyp = ChangeHypothesis(a.recording_id, interior)
         swapped = purity_coverage(dual_ann, dual_hyp)
@@ -287,6 +329,14 @@ class TestPooling:
                 score_changes(FIG1, h, collar=0.5),
             ])
 
+    def test_pooled_rejects_off_grid_durations(self):
+        r = score_changes(FIG1, ChangeHypothesis("fig1", (10.2,)), collar=0.25)
+        with pytest.raises(ValueError, match="hit_duration"):
+            pooled_precision_recall([r, replace(r, hit_duration=0.0004)])
+        s = purity_coverage(FIG1, ChangeHypothesis("fig1", ()))
+        with pytest.raises(ValueError, match="coverage_num"):
+            pooled_segmentation([s, replace(s, coverage_num=1.2345)])
+
     def test_pooled_segmentation_sums_durations(self):
         a1 = ann("r1", ("A", 0.0, 10.0), ("B", 10.0, 20.0))
         a2 = ann("r2", ("A", 0.0, 10.0))
@@ -299,6 +349,26 @@ class TestPooling:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [1.0005, 0.0001, 12.3456789])
+    def test_off_grid_seconds_rejected(self, bad):
+        with pytest.raises(ValueError, match="at most 3 decimal places"):
+            SpeakerSegment("A", bad, 20.0)
+        with pytest.raises(ValueError, match="at most 3 decimal places"):
+            SpeakerSegment("A", 0.0, bad)
+        with pytest.raises(ValueError, match="at most 3 decimal places"):
+            ChangeHypothesis("r", (1.0, bad))
+        hyp = ChangeHypothesis("fig1", (10.2,))
+        with pytest.raises(ValueError, match="collar"):
+            score_changes(FIG1, hyp, collar=bad)
+        with pytest.raises(ValueError, match="gap_merge"):
+            score_changes(FIG1, hyp, gap_merge=bad)
+        with pytest.raises(ValueError, match="gap_merge"):
+            purity_coverage(FIG1, hyp, gap_merge=bad)
+        with pytest.raises(ValueError, match="gap_merge"):
+            merge_speaker_gaps(FIG1, bad)
+        with pytest.raises(ValueError, match="target"):
+            segment_longform(FIG1, bad)
+
     def test_zero_length_segment_rejected(self):
         with pytest.raises(ValueError):
             SpeakerSegment("A", 5.0, 5.0)

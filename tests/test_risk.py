@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from _alignment_oracle import brute_force_align
 from scdkit import alignment, cli
-from scdkit.alignment import AlignmentCosts, brute_force_align
+from scdkit.alignment import AlignmentCosts
 from scdkit.dataio import parse_nbest, read_report, serialize_nbest
 from scdkit.risk import (
     NBest,

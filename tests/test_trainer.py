@@ -1,6 +1,6 @@
 import pytest
 
-from scdkit.risk import RiskConfig
+from scdkit.risk import RiskConfig, RiskKind
 from scdkit.tokens import SPEAKER_TURN, word
 from scdkit.trainer import (
     HypothesisSpace,
@@ -30,6 +30,13 @@ class TestHypothesisSpace:
         ref = (word("a"),)
         with pytest.raises(ValueError):
             HypothesisSpace("u", ref, (ref,))
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    def test_empty_reference_rejected(self, kind):
+        # rejected up front, whichever risk kind training would use
+        with pytest.raises(ValueError, match="reference of 'e' is empty"):
+            space = HypothesisSpace("e", (), ((), (word("a"),)))
+            train(space, TrainConfig(steps=1, risk=RiskConfig(risk_kind=kind)))
 
 
 class TestEnumerateCandidates:
