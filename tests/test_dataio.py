@@ -107,6 +107,32 @@ class TestRttm:
         with pytest.raises(DataFormatError):
             parse_rttm("")
 
+    @pytest.mark.parametrize("line, message", [
+        ("SPEAKER rec1 1 0.00 10.00 <NA> A <NA>", "f.rttm:2: expected 10 fields, got 8"),
+        ("SPEAKER rec1 x 0.00 1.00 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: channel must be an integer, got 'x'"),
+        ("SPEAKER rec1 1 0.0001 1.00 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: '0.0001' is not a decimal number of seconds (at most 3 fractional digits)"),
+        ("SPEAKER rec1 1 0.00 1.5e3 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: '1.5e3' is not a decimal number of seconds (at most 3 fractional digits)"),
+        ("SPEAKER rec1 1 -1.00 1.00 <NA> <NA> A <NA> <NA>", "f.rttm:2: negative onset -1.00"),
+        ("SPEAKER rec1 1 5.00 0.00 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: segment duration must be positive, got 0.00"),
+        ("SPEAKER rec1 1 5.00 -0.50 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: segment duration must be positive, got -0.50"),
+        ("LIGHTING rec1 1 0.00 1.00 x", "f.rttm: no SPEAKER records found"),
+        ("", "f.rttm: no SPEAKER records found"),
+    ])
+    def test_error_messages_exact(self, line, message):
+        with pytest.raises(DataFormatError) as info:
+            parse_rttm("\n" + line, source="f.rttm")
+        assert str(info.value) == message
+
+    def test_serialize_line_exact(self):
+        a = Annotation("rec1", (SpeakerSegment("A", 1.5, 3.25), SpeakerSegment("B", 0.001, 12.0)))
+        assert serialize_rttm([a]) == ("SPEAKER rec1 1 1.50 1.75 <NA> <NA> A <NA> <NA>\n"
+                                       "SPEAKER rec1 1 0.001 11.999 <NA> <NA> B <NA> <NA>\n")
+
     @pytest.mark.parametrize("seed", range(20))
     def test_round_trip(self, seed):
         rng = random.Random(seed)

@@ -41,6 +41,8 @@ CASES = {
     "score-multi-machine": ("score", *_MULTI, "--format", "machine"),
     "score-multi-duration": ("score", *_MULTI, "--recall-mode", "duration"),
     "score-multi-gap-merge": ("score", *_MULTI, "--gap-merge", "1.0"),
+    "score-multi-gap-merge-machine": ("score", *_MULTI, "--gap-merge", "1.0",
+                                      "--format", "machine"),
     "segment-fig1": ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "12"),
     "segment-multi": ("segment", "--ref", str(FIXTURES / "multi.rttm"), "--target", "5"),
 }
