@@ -19,7 +19,6 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .metrics import (
@@ -95,25 +94,26 @@ def tokenize_transcript(text: str) -> TokenSeq:
 # ---------------------------------------------------------------------------
 # RTTM
 
-@dataclass(frozen=True)
-class RttmRecord:
-    """One 10-field SPEAKER line; the four metadata slots serialize as <NA>."""
+def parse_rttm(stream: Union[str, io.TextIOBase, Iterable[str]],
+               source: str = "<rttm>") -> List[Annotation]:
+    """Parse SPEAKER records grouped by file id, in order of first appearance.
 
-    file: str
-    channel: int
-    onset: float
-    duration: float
-    speaker: str
-
-    @classmethod
-    def from_line(cls, line: str, where: str) -> "RttmRecord":
+    The channel must be an integer but is not kept.
+    """
+    segments: Dict[str, List[SpeakerSegment]] = {}
+    ignored = 0
+    for lineno, line in enumerate(_lines(stream), start=1):
         fields = line.split()
+        if not fields:
+            continue
+        if fields[0] != "SPEAKER":
+            ignored += 1
+            continue
+        where = f"{source}:{lineno}"
         if len(fields) != 10:
             raise DataFormatError(f"{where}: expected 10 fields, got {len(fields)}")
-        if fields[0] != "SPEAKER":
-            raise DataFormatError(f"{where}: expected a SPEAKER record, got {fields[0]!r}")
         try:
-            channel = int(fields[2])
+            int(fields[2])
         except ValueError:
             raise DataFormatError(f"{where}: channel must be an integer, got {fields[2]!r}")
         onset = parse_seconds(fields[3], where)
@@ -122,29 +122,8 @@ class RttmRecord:
             raise DataFormatError(f"{where}: negative onset {fields[3]}")
         if duration <= 0:
             raise DataFormatError(f"{where}: segment duration must be positive, got {fields[4]}")
-        return cls(file=fields[1], channel=channel, onset=onset,
-                   duration=duration, speaker=fields[7])
-
-    def to_line(self) -> str:
-        return (f"SPEAKER {self.file} {self.channel} {format_seconds(self.onset)} "
-                f"{format_seconds(self.duration)} <NA> <NA> {self.speaker} <NA> <NA>")
-
-
-def parse_rttm(stream: Union[str, io.TextIOBase, Iterable[str]],
-               source: str = "<rttm>") -> List[Annotation]:
-    """Parse SPEAKER records grouped by file id, in order of first appearance."""
-    segments: Dict[str, List[SpeakerSegment]] = {}
-    ignored = 0
-    for lineno, line in enumerate(_lines(stream), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.split(None, 1)[0] != "SPEAKER":
-            ignored += 1
-            continue
-        rec = RttmRecord.from_line(stripped, f"{source}:{lineno}")
-        segments.setdefault(rec.file, []).append(
-            SpeakerSegment(rec.speaker, rec.onset, round(rec.onset + rec.duration, 3)))
+        segments.setdefault(fields[1], []).append(
+            SpeakerSegment(fields[7], onset, round(onset + duration, 3)))
     if ignored:
         logger.warning("%s: ignored %d non-SPEAKER lines", source, ignored)
     if not segments:
@@ -153,12 +132,13 @@ def parse_rttm(stream: Union[str, io.TextIOBase, Iterable[str]],
 
 
 def serialize_rttm(annotations: Sequence[Annotation]) -> str:
+    """One SPEAKER line per segment, on channel 1 with ``<NA>`` metadata slots."""
     lines = []
     for ann in annotations:
         for seg in ann.segments:
-            rec = RttmRecord(file=ann.recording_id, channel=1, onset=seg.start,
-                             duration=round(seg.end - seg.start, 3), speaker=seg.speaker)
-            lines.append(rec.to_line())
+            lines.append(f"SPEAKER {ann.recording_id} 1 {format_seconds(seg.start)} "
+                         f"{format_seconds(round(seg.end - seg.start, 3))} "
+                         f"<NA> <NA> {seg.speaker} <NA> <NA>")
     return "\n".join(lines) + "\n"
 
 
@@ -232,8 +212,10 @@ def parse_nbest(stream: Union[str, io.TextIOBase, Iterable[str]],
             if not isinstance(h, dict) or "text" not in h or "log_score" not in h:
                 raise DataFormatError(f"{where}: each hypothesis needs text and log_score")
             score = h["log_score"]
-            if not isinstance(score, (int, float)) or not math.isfinite(score):
+            if not _is_number(score) or not math.isfinite(score):
                 raise DataFormatError(f"{where}: log_score must be a finite number, got {score!r}")
+            if not isinstance(h["text"], str):
+                raise DataFormatError(f"{where}: hypothesis text must be a string")
             try:
                 hyp_tokens = tokenize_transcript(h["text"])
             except DataFormatError as exc:

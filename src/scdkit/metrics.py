@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Span = Tuple[int, int]
+Coverage = Dict[str, Tuple[Span, ...]]
 
 
 def _ms(seconds: float, what: str) -> int:
@@ -171,38 +172,16 @@ def f1_of_rates(precision: Optional[float], recall: Optional[float]) -> Optional
     return f1_score(precision, recall)
 
 
-def merge_speaker_gaps(annotation: Annotation, gap_merge: float) -> Annotation:
-    """Merge same-speaker segments separated by at most ``gap_merge`` seconds.
-
-    ``gap_merge`` <= 0 returns the annotation unchanged.
-    """
-    gap_ms = _ms(gap_merge, "gap_merge")
-    if gap_ms <= 0:
-        return annotation
-    merged: List[Tuple[int, int, str]] = []
-    for speaker, spans in speaker_coverage(annotation).items():
-        cur_start, cur_end = spans[0]
-        for start, end in spans[1:]:
-            if start - cur_end <= gap_ms:
-                cur_end = end
-            else:
-                merged.append((cur_start, cur_end, speaker))
-                cur_start, cur_end = start, end
-        merged.append((cur_start, cur_end, speaker))
-    merged.sort()
-    return Annotation(annotation.recording_id, tuple(
-        SpeakerSegment(speaker, start / 1000, end / 1000) for start, end, speaker in merged))
-
-
-def _union(spans: Iterable[Span]) -> Tuple[Span, ...]:
-    """Sorted, pairwise-disjoint spans covering ``spans``.
+def _union(spans: Iterable[Span], gap_ms: int = 0) -> Tuple[Span, ...]:
+    """Sorted, pairwise-disjoint spans covering ``spans`` and the gaps of at
+    most ``gap_ms`` between them.
 
     Overlapping or touching spans merge, which absorbs a zero-length point
     lying inside or on the edge of another span; a lone point is kept.
     """
     merged: List[Span] = []
     for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
+        if merged and start - merged[-1][1] <= gap_ms:
             if end > merged[-1][1]:
                 merged[-1] = (merged[-1][0], end)
         else:
@@ -210,16 +189,30 @@ def _union(spans: Iterable[Span]) -> Tuple[Span, ...]:
     return tuple(merged)
 
 
-def speaker_coverage(annotation: Annotation) -> Dict[str, Tuple[Span, ...]]:
-    """Each speaker's own segments as the union of their spans."""
+def speaker_coverage(annotation: Annotation, gap_ms: int = 0) -> Coverage:
+    """Each speaker's own segments as the union of their spans, which with
+    positive-length segments also merges same-speaker gaps of at most ``gap_ms``."""
     by_speaker: Dict[str, List[Span]] = {}
     for seg in annotation.segments:
         by_speaker.setdefault(seg.speaker, []).append(
             (round(seg.start * 1000), round(seg.end * 1000)))
-    return {spk: _union(spans) for spk, spans in by_speaker.items()}
+    return {spk: _union(spans, gap_ms) for spk, spans in by_speaker.items()}
 
 
-def _coverage_pieces(annotation: Annotation) -> List[Tuple[int, int, int]]:
+def _scored_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
+                     gap_merge: float) -> Coverage:
+    """The coverage scored against ``hypothesis``, same-speaker gaps of at
+    most ``gap_merge`` seconds merged."""
+    if annotation.recording_id != hypothesis.recording_id:
+        raise ValueError(
+            f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
+    gap_ms = _ms(gap_merge, "gap_merge")
+    if gap_ms < 0:
+        raise ValueError(f"gap_merge must be >= 0, got {gap_merge}")
+    return speaker_coverage(annotation, gap_ms)
+
+
+def _coverage_pieces(coverage: Coverage) -> List[Tuple[int, int, int]]:
     """Elementary (start_ms, end_ms, n_speakers) pieces over the annotated span.
 
     Pieces alternate between boundary points (zero length) and the open
@@ -235,7 +228,7 @@ def _coverage_pieces(annotation: Annotation) -> List[Tuple[int, int, int]]:
     """
     starts: Dict[int, int] = {}
     ends: Dict[int, int] = {}
-    for spans in speaker_coverage(annotation).values():
+    for spans in coverage.values():
         for start, end in spans:
             starts[start] = starts.get(start, 0) + 1
             ends[end] = ends.get(end, 0) + 1
@@ -270,7 +263,7 @@ def _runs(pieces: Sequence[Tuple[int, int, int]], keep) -> Tuple[Span, ...]:
 
 def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:
     """``(start_ms, end_ms)`` spans of the annotated span covered by exactly one speaker."""
-    return _runs(_coverage_pieces(annotation), lambda c: c == 1)
+    return _runs(_coverage_pieces(speaker_coverage(annotation)), lambda c: c == 1)
 
 
 def change_intervals(annotation: Annotation) -> Tuple[Span, ...]:
@@ -279,7 +272,7 @@ def change_intervals(annotation: Annotation) -> Tuple[Span, ...]:
     Includes multi-speaker overlap, unannotated gaps, and zero-length
     switching points where one speaker ends exactly as another begins.
     """
-    return _runs(_coverage_pieces(annotation), lambda c: c != 1)
+    return _runs(_coverage_pieces(speaker_coverage(annotation)), lambda c: c != 1)
 
 
 def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
@@ -290,13 +283,11 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     is correct when its collar window intersects any change interval, and
     an interval is hit when at least one kept prediction matches it.
     """
-    if annotation.recording_id != hypothesis.recording_id:
-        raise ValueError(
-            f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
+    coverage = _scored_coverage(annotation, hypothesis, gap_merge)
     collar_ms = _ms(collar, "collar")
     if collar_ms < 0:
         raise ValueError(f"collar must be >= 0, got {collar}")
-    pieces = _coverage_pieces(merge_speaker_gaps(annotation, gap_merge))
+    pieces = _coverage_pieces(coverage)
     intervals = _runs(pieces, lambda c: c != 1)
     t_min, t_max = pieces[0][0], pieces[-1][1]
     kept = [t for t in (round(t * 1000) for t in hypothesis.timestamps) if t_min <= t <= t_max]
@@ -332,18 +323,17 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     )
 
 
-def reference_units(annotation: Annotation) -> List[Tuple[str, Span]]:
+def reference_units(coverage: Coverage) -> List[Tuple[str, Span]]:
     """Per-speaker contiguous coverage spans, the units of coverage scoring."""
-    units = [(speaker, span) for speaker, spans in speaker_coverage(annotation).items()
-             for span in spans]
+    units = [(speaker, span) for speaker, spans in coverage.items() for span in spans]
     units.sort(key=lambda u: (u[1], u[0]))
     return units
 
 
-def hypothesis_segments(annotation: Annotation, hypothesis: ChangeHypothesis) -> List[Span]:
+def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> List[Span]:
     """The annotated span cut at the kept prediction timestamps, in ms."""
-    t_min = min(round(s.start * 1000) for s in annotation.segments)
-    t_max = max(round(s.end * 1000) for s in annotation.segments)
+    t_min = min(spans[0][0] for spans in coverage.values())
+    t_max = max(spans[-1][1] for spans in coverage.values())
     cuts = [t for t in (round(t * 1000) for t in hypothesis.timestamps) if t_min < t < t_max]
     bounds = [t_min] + cuts + [t_max]
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
@@ -372,12 +362,9 @@ def _segmentation_report(pur_num: int, pur_den: int,
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
                     gap_merge: float = 0.0) -> SegmentationReport:
     """Best-overlap segmentation scores between reference and hypothesis segments."""
-    if annotation.recording_id != hypothesis.recording_id:
-        raise ValueError(
-            f"recording ids differ: {annotation.recording_id!r} vs {hypothesis.recording_id!r}")
-    ann = merge_speaker_gaps(annotation, gap_merge)
-    refs = [span for _, span in reference_units(ann)]
-    hyps = hypothesis_segments(ann, hypothesis)
+    coverage = _scored_coverage(annotation, hypothesis, gap_merge)
+    refs = [span for _, span in reference_units(coverage)]
+    hyps = hypothesis_segments(coverage, hypothesis)
 
     # Only pairs with positive overlap are visited; every other pair
     # overlaps by 0, which is also each max's default.  The hypothesis

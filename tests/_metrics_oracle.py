@@ -5,6 +5,9 @@ sorted sweeps: every boundary against every speaker interval, every
 prediction against every change interval, every reference unit against
 every hypothesis segment.  They are kept only as a differential oracle;
 the sweeps must reproduce their reports exactly, not approximately.
+``merge_speaker_gaps`` is the gap merge the metrics used before it became
+a tolerance of the coverage union: it rebuilds the merged coverage as an
+annotation, which every oracle function then scores.
 Like the sweeps, they work on closed ``(start_ms, end_ms)`` spans in
 integer milliseconds.
 """
@@ -17,13 +20,37 @@ from scdkit.metrics import (
     PrecisionRecallReport,
     SegmentationReport,
     Span,
+    SpeakerSegment,
+    _ms,
     _runs,
     f1_score,
     hypothesis_segments,
-    merge_speaker_gaps,
     reference_units,
     speaker_coverage,
 )
+
+
+def merge_speaker_gaps(annotation: Annotation, gap_merge: float) -> Annotation:
+    """Merge same-speaker segments separated by at most ``gap_merge`` seconds.
+
+    ``gap_merge`` <= 0 returns the annotation unchanged.
+    """
+    gap_ms = _ms(gap_merge, "gap_merge")
+    if gap_ms <= 0:
+        return annotation
+    merged: List[Tuple[int, int, str]] = []
+    for speaker, spans in speaker_coverage(annotation).items():
+        cur_start, cur_end = spans[0]
+        for start, end in spans[1:]:
+            if start - cur_end <= gap_ms:
+                cur_end = end
+            else:
+                merged.append((cur_start, cur_end, speaker))
+                cur_start, cur_end = start, end
+        merged.append((cur_start, cur_end, speaker))
+    merged.sort()
+    return Annotation(annotation.recording_id, tuple(
+        SpeakerSegment(speaker, start / 1000, end / 1000) for start, end, speaker in merged))
 
 
 def coverage_pieces(annotation: Annotation) -> List[Tuple[int, int, int]]:
@@ -111,9 +138,9 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
 
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
                     gap_merge: float = 0.0) -> SegmentationReport:
-    ann = merge_speaker_gaps(annotation, gap_merge)
-    refs = [span for _, span in reference_units(ann)]
-    hyps = hypothesis_segments(ann, hypothesis)
+    coverage = speaker_coverage(merge_speaker_gaps(annotation, gap_merge))
+    refs = [span for _, span in reference_units(coverage)]
+    hyps = hypothesis_segments(coverage, hypothesis)
 
     def overlap(a: Span, b: Span) -> int:
         return max(0, min(a[1], b[1]) - max(a[0], b[0]))

@@ -181,6 +181,18 @@ def test_malformed_rttm_exit_2(tmp_path):
     assert ":1" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("score", "--ref", str(FIXTURES / "multi.rttm"), "--hyp", str(FIXTURES / "multi.stamps")),
+    ("train-toy", "--scenario", "st-vs-word", "--steps", "5"),
+])
+def test_unwritable_out_is_data_error_exit_2(tmp_path, argv):
+    out = tmp_path / "no_such_dir" / "x"
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_byte_identical_across_runs(tmp_path):
     combos = [
         ("score", "--ref", str(FIXTURES / "fig1.rttm"),

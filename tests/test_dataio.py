@@ -203,6 +203,18 @@ class TestNBestFile:
             parse_nbest('{"utterance_id": "u", "reference": "a", '
                         '"hypotheses": [{"text": "a", "log_score": NaN}]}')
 
+    def test_boolean_score_rejected(self):
+        with pytest.raises(DataFormatError) as info:
+            parse_nbest('{"utterance_id": "u", "reference": "a", '
+                        '"hypotheses": [{"text": "a", "log_score": true}]}', source="n.jsonl")
+        assert str(info.value) == "n.jsonl:1: log_score must be a finite number, got True"
+
+    def test_non_string_text_rejected(self):
+        with pytest.raises(DataFormatError) as info:
+            parse_nbest('{"utterance_id": "u", "reference": "a", '
+                        '"hypotheses": [{"text": 5, "log_score": -1}]}', source="n.jsonl")
+        assert str(info.value) == "n.jsonl:1: hypothesis text must be a string"
+
     @pytest.mark.parametrize("seed", range(20))
     def test_round_trip(self, seed):
         rng = random.Random(200 + seed)

@@ -12,12 +12,12 @@ from scdkit.metrics import (
     change_intervals,
     f1_score,
     hypothesis_segments,
-    merge_speaker_gaps,
     mono_speaker_ranges,
     pooled_precision_recall,
     pooled_segmentation,
     purity_coverage,
     score_changes,
+    speaker_coverage,
     _union,
 )
 
@@ -98,19 +98,17 @@ class TestChangeIntervals:
             gap = rng.randint(1, 3000)
             second = (first_end + gap, first_end + gap + rng.randint(1, 5000))
             a = ann("r", ("A", 0.0, first_end / 1000), ("A", second[0] / 1000, second[1] / 1000))
-            merged = merge_speaker_gaps(a, gap / 1000).segments
-            if merged != (SpeakerSegment("A", 0.0, second[1] / 1000),):
+            if speaker_coverage(a, gap) != {"A": ((0, second[1]),)}:
                 misses.append((first_end, gap))
             # one millisecond less and the gap stays
-            assert merge_speaker_gaps(a, (gap - 1) / 1000) == a
+            assert speaker_coverage(a, gap - 1) == {"A": ((0, first_end), second)}
         assert misses == []
 
     def test_gap_merge_removes_small_same_speaker_gap(self):
         a = ann("r", ("A", 0.0, 5.0), ("A", 6.0, 10.0))
-        merged = merge_speaker_gaps(a, 1.0)
-        assert len(change_intervals(merged)) == 0
-        untouched = merge_speaker_gaps(a, 0.0)
-        assert untouched == a
+        hyp = ChangeHypothesis("r", ())
+        assert score_changes(a, hyp, gap_merge=1.0).n_intervals == 0
+        assert score_changes(a, hyp, gap_merge=0.0).n_intervals == 1
 
     @pytest.mark.parametrize("seed", range(30))
     def test_complementarity(self, seed):
@@ -263,7 +261,7 @@ class TestPurityCoverage:
 
     def test_cut_at_span_edges_is_ignored(self):
         a = ann("r", ("A", 0.0, 10.0))
-        segs = hypothesis_segments(a, ChangeHypothesis("r", (0.0, 10.0)))
+        segs = hypothesis_segments(speaker_coverage(a), ChangeHypothesis("r", (0.0, 10.0)))
         assert segs == [(0, 10000)]
 
     @pytest.mark.parametrize("seed", range(40))
@@ -285,7 +283,7 @@ class TestPurityCoverage:
         direct = purity_coverage(a, h)
         # rebuild: hypothesis segments become anonymous speakers, the
         # annotation's interior boundaries become the predictions
-        hyp_segs = hypothesis_segments(a, h)
+        hyp_segs = hypothesis_segments(speaker_coverage(a), h)
         dual_ann = Annotation(a.recording_id, tuple(
             SpeakerSegment(f"h{i}", start / 1000, end / 1000)
             for i, (start, end) in enumerate(hyp_segs)))
@@ -364,8 +362,6 @@ class TestValidation:
             score_changes(FIG1, hyp, gap_merge=bad)
         with pytest.raises(ValueError, match="gap_merge"):
             purity_coverage(FIG1, hyp, gap_merge=bad)
-        with pytest.raises(ValueError, match="gap_merge"):
-            merge_speaker_gaps(FIG1, bad)
         with pytest.raises(ValueError, match="target"):
             segment_longform(FIG1, bad)
 
@@ -396,5 +392,10 @@ class TestValidation:
             score_changes(FIG1, hyp, gap_merge=bad)
         with pytest.raises(ValueError):
             purity_coverage(FIG1, hyp, gap_merge=bad)
-        with pytest.raises(ValueError):
-            merge_speaker_gaps(FIG1, bad)
+
+    def test_negative_gap_merge_rejected(self):
+        hyp = ChangeHypothesis("fig1", (10.2,))
+        with pytest.raises(ValueError, match=r"^gap_merge must be >= 0, got -1\.0$"):
+            score_changes(FIG1, hyp, gap_merge=-1.0)
+        with pytest.raises(ValueError, match=r"^gap_merge must be >= 0, got -5\.0$"):
+            purity_coverage(FIG1, hyp, gap_merge=-5.0)

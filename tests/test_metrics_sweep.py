@@ -1,23 +1,26 @@
 """The sweep-line metrics against their quadratic oracle, plus complexity guards."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 import _metrics_oracle as oracle
-from scdkit import metrics
+from scdkit import cli, metrics
 from scdkit.metrics import (
     Annotation,
     ChangeHypothesis,
     SpeakerSegment,
     change_intervals,
     hypothesis_segments,
-    merge_speaker_gaps,
     mono_speaker_ranges,
     purity_coverage,
     reference_units,
     score_changes,
+    speaker_coverage,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def grid_annotation(rng, rec_id="rec"):
@@ -79,12 +82,14 @@ def test_sweeps_match_quadratic_oracle_exactly(block):
         collar_ms = rng.choice([0, 250, rng.randint(0, 1500)])
         gap_merge = rng.choice([0.0, rng.randint(1, 2000) / 1000])
         hyp = grid_hypothesis(rng, ann, collar_ms)
-        merged = merge_speaker_gaps(ann, gap_merge)
+        merged = oracle.merge_speaker_gaps(ann, gap_merge)
         context = f"seed {seed}: {ann} {hyp} collar_ms={collar_ms} gap_merge={gap_merge}"
 
+        assert speaker_coverage(ann, round(gap_merge * 1000)) == speaker_coverage(merged), context
         assert change_intervals(merged) == oracle.change_intervals(merged), context
         assert mono_speaker_ranges(merged) == oracle.mono_speaker_ranges(merged), context
-        assert metrics._coverage_pieces(merged) == oracle.coverage_pieces(merged), context
+        assert (metrics._coverage_pieces(speaker_coverage(merged))
+                == oracle.coverage_pieces(merged)), context
         assert_identical(
             score_changes(ann, hyp, collar=collar_ms / 1000, gap_merge=gap_merge),
             oracle.score_changes(ann, hyp, collar=collar_ms / 1000, gap_merge=gap_merge))
@@ -125,8 +130,8 @@ def counting(monkeypatch, owner, name):
 
 def test_purity_coverage_overlap_calls_are_linear(monkeypatch):
     ann, hyp = longform(random.Random(11))
-    n_refs = len(reference_units(ann))
-    n_hyps = len(hypothesis_segments(ann, hyp))
+    n_refs = len(reference_units(speaker_coverage(ann)))
+    n_hyps = len(hypothesis_segments(speaker_coverage(ann), hyp))
     calls = counting(monkeypatch, metrics, "_overlap")
     purity_coverage(ann, hyp)
     assert 0 < calls[0] <= 8 * (n_refs + n_hyps)
@@ -142,3 +147,12 @@ def test_score_changes_matching_comparisons_are_linear(monkeypatch):
     score_changes(ann, hyp)
     total = sum(c[0] for c in counters)
     assert 0 < total <= 8 * (n_intervals + n_kept)
+
+
+@pytest.mark.parametrize("gap_merge", [(), ("--gap-merge", "1.0")])
+def test_score_builds_one_coverage_per_metric_call(monkeypatch, capsys, gap_merge):
+    calls = counting(monkeypatch, metrics, "speaker_coverage")
+    assert cli.main(["score", "--ref", str(FIXTURES / "multi.rttm"),
+                     "--hyp", str(FIXTURES / "multi.stamps"), *gap_merge]) == 0
+    # 4 recordings, each scored once by score_changes and once by purity_coverage
+    assert calls[0] == 8
