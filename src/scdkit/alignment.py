@@ -4,8 +4,9 @@ Substitutions are only allowed between two (unequal) words; the
 speaker-turn marker can only be matched, inserted, or deleted.  Inserting
 or deleting the marker costs ``k`` (>= 1) while every word edit costs 1.
 All arithmetic is exact integer arithmetic in milli-units (k = 1.1 is
-stored as 1100), so cost ties are exact and the tie-break below is
-deterministic:
+stored as 1100), and each DP cell holds one int key packing the cost and
+the turn-marker error count, so cost ties are exact and the tie-break
+below is deterministic:
 
     Match > path minimizing turn insertions+deletions > Delete > Insert > WordSub
 
@@ -19,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
-from .tokens import Token, TokenSeq, as_token_seq
+from .tokens import Token, as_token_seq
 
 # Every word edit (insertion, deletion, substitution) costs 1.
 WORD_COST_MILLI = 1000
@@ -33,6 +35,8 @@ def k_to_milli(k) -> int:
         d = k if isinstance(k, Decimal) else Decimal(str(k))
     except InvalidOperation as exc:
         raise ValueError(f"k is not a decimal number: {k!r}") from exc
+    if not d.is_finite():
+        raise ValueError(f"k must be finite, got {k!r}")
     scaled = d * 1000
     if scaled != scaled.to_integral_value():
         raise ValueError(f"k must have at most 3 decimal places, got {k!r}")
@@ -49,8 +53,10 @@ class AlignmentCosts:
     st_cost_milli: int = 1100
 
     def __post_init__(self) -> None:
-        if self.st_cost_milli < 1000:
-            raise ValueError(f"turn-marker cost must be >= 1000 milli, got {self.st_cost_milli}")
+        # an exact int keeps the DP's packed cell keys exact; bool is not a cost
+        if type(self.st_cost_milli) is not int or self.st_cost_milli < 1000:
+            raise ValueError(f"turn-marker cost must be an int >= 1000 milli, "
+                             f"got {self.st_cost_milli!r}")
 
     @classmethod
     def from_k(cls, k) -> "AlignmentCosts":
@@ -109,35 +115,6 @@ class Alignment:
     counts: ErrorCounts
 
 
-def counts_from_ops(ops: Sequence[EditOp], reference: TokenSeq, hypothesis: TokenSeq) -> ErrorCounts:
-    """Recount errors from an op trace (also the test-side consistency check)."""
-    w = fa = fr = stc = 0
-    for op in ops:
-        if op.kind is OpKind.MATCH:
-            if reference[op.ref_index].is_turn:
-                stc += 1
-        elif op.kind is OpKind.WORD_SUB:
-            w += 1
-        elif op.kind is OpKind.INSERT:
-            if hypothesis[op.hyp_index].is_turn:
-                fa += 1
-            else:
-                w += 1
-        else:
-            if reference[op.ref_index].is_turn:
-                fr += 1
-            else:
-                w += 1
-    return ErrorCounts(word_errors=w, st_insertions=fa, st_deletions=fr, st_correct=stc)
-
-
-# Tie-break ranks after (cost, turn-error count): Match > Delete > Insert > WordSub.
-_RANK_MATCH = 0
-_RANK_DELETE = 1
-_RANK_INSERT = 2
-_RANK_SUB = 3
-
-
 def align(reference: Sequence[Token], hypothesis: Sequence[Token],
           costs: AlignmentCosts = DEFAULT_COSTS) -> Alignment:
     """Optimal constrained alignment of ``hypothesis`` against ``reference``.
@@ -147,50 +124,41 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
     ref = as_token_seq(reference)
     hyp = as_token_seq(hypothesis)
     n, m = len(ref), len(hyp)
-    word_cost = WORD_COST_MILLI
     st_cost = costs.st_cost_milli
+    # key = cost_milli * scale + turn errors; turn errors <= n + m < scale,
+    # so comparing keys compares (cost, turn errors) in that order.
+    scale = n + m + 1
+    word_step = WORD_COST_MILLI * scale
+    turn_step = st_cost * scale + 1
+    ref_text = [t.text for t in ref]
+    hyp_text = [t.text for t in hyp]
+    hyp_step = [turn_step if h is None else word_step for h in hyp_text]
 
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    sterr = [[0] * (m + 1) for _ in range(n + 1)]
-    back = [[None] * (m + 1) for _ in range(n + 1)]
-
-    for i in range(1, n + 1):
-        turn = ref[i - 1].is_turn
-        cost[i][0] = cost[i - 1][0] + (st_cost if turn else word_cost)
-        sterr[i][0] = sterr[i - 1][0] + (1 if turn else 0)
-        back[i][0] = OpKind.DELETE
-    for j in range(1, m + 1):
-        turn = hyp[j - 1].is_turn
-        cost[0][j] = cost[0][j - 1] + (st_cost if turn else word_cost)
-        sterr[0][j] = sterr[0][j - 1] + (1 if turn else 0)
-        back[0][j] = OpKind.INSERT
-
-    for i in range(1, n + 1):
-        r = ref[i - 1]
-        r_turn = r.is_turn
-        for j in range(1, m + 1):
-            h = hyp[j - 1]
-            h_turn = h.is_turn
+    back = [[OpKind.INSERT] * (m + 1)]
+    prev = list(accumulate(hyp_step, initial=0))
+    for r in ref_text:
+        r_step = turn_step if r is None else word_step
+        row = [OpKind.DELETE] * (m + 1)
+        left = prev[0] + r_step
+        cur = [left]
+        for j, h in enumerate(hyp_text):
             if r == h:
-                best = (cost[i - 1][j - 1], sterr[i - 1][j - 1], _RANK_MATCH)
-                best_op = OpKind.MATCH
+                # deleting r and inserting h add the same step, so neither beats the match
+                left = prev[j]
+                row[j + 1] = OpKind.MATCH
             else:
-                best = None
-                best_op = None
-            cand = (cost[i - 1][j] + (st_cost if r_turn else word_cost),
-                    sterr[i - 1][j] + (1 if r_turn else 0), _RANK_DELETE)
-            if best is None or cand < best:
-                best, best_op = cand, OpKind.DELETE
-            cand = (cost[i][j - 1] + (st_cost if h_turn else word_cost),
-                    sterr[i][j - 1] + (1 if h_turn else 0), _RANK_INSERT)
-            if cand < best:
-                best, best_op = cand, OpKind.INSERT
-            if r != h and not r_turn and not h_turn:
-                cand = (cost[i - 1][j - 1] + word_cost, sterr[i - 1][j - 1], _RANK_SUB)
+                best = prev[j + 1] + r_step
+                cand = left + hyp_step[j]
                 if cand < best:
-                    best, best_op = cand, OpKind.WORD_SUB
-            cost[i][j], sterr[i][j], _ = best
-            back[i][j] = best_op
+                    best = cand
+                    row[j + 1] = OpKind.INSERT
+                if r is not None and h is not None and prev[j] + word_step < best:
+                    best = prev[j] + word_step
+                    row[j + 1] = OpKind.WORD_SUB
+                left = best
+            cur.append(left)
+        back.append(row)
+        prev = cur
 
     ops = []
     i, j = n, m
@@ -208,6 +176,12 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
             j -= 1
     ops.reverse()
 
-    trace = tuple(ops)
-    return Alignment(ops=trace, cost_milli=cost[n][m],
-                     counts=counts_from_ops(trace, ref, hyp))
+    # Every turn is matched, inserted (FA) or deleted (FR), and every word
+    # edit costs WORD_COST_MILLI, so the final key fixes all four counts.
+    cost, turn_errors = divmod(prev[m], scale)
+    ref_turns = ref_text.count(None)
+    hyp_turns = hyp_text.count(None)
+    fa = (turn_errors + hyp_turns - ref_turns) // 2
+    return Alignment(ops=tuple(ops), cost_milli=cost, counts=ErrorCounts(
+        word_errors=(cost - st_cost * turn_errors) // WORD_COST_MILLI,
+        st_insertions=fa, st_deletions=turn_errors - fa, st_correct=hyp_turns - fa))

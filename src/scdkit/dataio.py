@@ -122,8 +122,11 @@ def parse_rttm(stream: Union[str, io.TextIOBase, Iterable[str]],
             raise DataFormatError(f"{where}: negative onset {fields[3]}")
         if duration <= 0:
             raise DataFormatError(f"{where}: segment duration must be positive, got {fields[4]}")
-        segments.setdefault(fields[1], []).append(
-            SpeakerSegment(fields[7], onset, round(onset + duration, 3)))
+        try:
+            segment = SpeakerSegment(fields[7], onset, round(onset + duration, 3))
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
+        segments.setdefault(fields[1], []).append(segment)
     if ignored:
         logger.warning("%s: ignored %d non-SPEAKER lines", source, ignored)
     if not segments:
@@ -165,7 +168,10 @@ def parse_change_stamps(stream: Union[str, io.TextIOBase, Iterable[str]],
         seen.add(rec_id)
         rest = rest.strip()
         stamps = tuple(parse_seconds(tok, where) for tok in rest.split(",") if tok) if rest else ()
-        out.append(ChangeHypothesis(rec_id, stamps))
+        try:
+            out.append(ChangeHypothesis(rec_id, stamps))
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
     if not out:
         raise DataFormatError(f"{source}: no records found")
     return out

@@ -162,10 +162,9 @@ def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
     ``nll`` is the externally supplied negative log probability of the
     ground truth.  Both arguments are checked before ``breakdowns`` is consumed.
     """
-    if nll_weight < 0:
-        raise ValueError(f"nll weight must be >= 0, got {nll_weight}")
-    if nll < 0:
-        raise ValueError(f"nll must be >= 0, got {nll}")
+    for name, v in (("nll_weight", nll_weight), ("nll", nll)):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
     risks: List[float] = []
     probs: List[float] = []
     risk_sum = exp_fa = exp_fr = exp_w = 0.0

@@ -64,8 +64,8 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.nbest_n is not None and self.nbest_n < 1:
             raise ValueError(f"nbest_n must be >= 1 or None, got {self.nbest_n}")
-        if self.nll_weight < 0:
-            raise ValueError(f"nll_weight must be >= 0, got {self.nll_weight}")
+        if not (math.isfinite(self.nll_weight) and self.nll_weight >= 0):
+            raise ValueError(f"nll_weight must be finite and >= 0, got {self.nll_weight}")
 
 
 @dataclass(frozen=True)

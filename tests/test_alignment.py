@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _alignment_oracle import brute_force_align, cost_from_ops
+from _alignment_oracle import brute_force_align, cost_from_ops, counts_from_ops, table_align
 from scdkit.alignment import (
     AlignmentCosts,
     ErrorCounts,
     OpKind,
     align,
-    counts_from_ops,
     k_to_milli,
 )
 from scdkit.tokens import SPEAKER_TURN, word
@@ -54,6 +53,16 @@ class TestCostConversion:
             k_to_milli("0.9")
         with pytest.raises(ValueError):
             AlignmentCosts(st_cost_milli=999)
+
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan", "sNaN", float("inf"), float("nan")])
+    def test_rejects_non_finite_k(self, k):
+        with pytest.raises(ValueError, match="k must be finite"):
+            AlignmentCosts.from_k(k)
+
+    @pytest.mark.parametrize("milli", [1500.5, 2000.0, True, "1100"])
+    def test_rejects_non_int_milli(self, milli):
+        with pytest.raises(ValueError, match="must be an int >= 1000 milli"):
+            AlignmentCosts(st_cost_milli=milli)
 
 
 class TestAlignExamples:
@@ -216,3 +225,37 @@ def test_randomized_oracle_sweep():
         oracle = brute_force_align(ref, hyp, costs)
         assert got.cost_milli == oracle.cost_milli
         assert got.counts in oracle.optimal_counts
+
+
+def random_pair(rng, length, turn_share, vocab):
+    """A seeded reference and a hypothesis made from it by random edits."""
+    def tok():
+        return SPEAKER_TURN if rng.random() < turn_share else word(rng.choice(vocab))
+    ref = [tok() for _ in range(length)]
+    hyp = list(ref)
+    for _ in range(rng.randint(0, max(1, length // 3))):
+        at = rng.randint(0, len(hyp))
+        edit = rng.random()
+        if edit < 0.3 and at < len(hyp):
+            del hyp[at]
+        elif edit < 0.6 or at == len(hyp):
+            hyp.insert(at, tok())
+        else:
+            hyp[at] = tok()
+    if rng.random() < 0.2:  # unrelated hypotheses of other lengths too
+        hyp = [tok() for _ in range(rng.randint(0, 20))]
+    return tuple(ref), tuple(hyp)
+
+
+@pytest.mark.parametrize("k", ["1", "1.1", "1.5", "2", "2.5"])
+def test_matches_table_dp_exactly(k):
+    # 200 short pairs and 3 long ones per k; ops, cost and counts must all be equal
+    rng = random.Random(f"table-dp-{k}")
+    costs = AlignmentCosts.from_k(k)
+    pairs = [random_pair(rng, rng.randint(0, 20), rng.uniform(0.0, 0.6), "abcd"[:rng.randint(1, 4)])
+             for _ in range(200)]
+    pairs += [random_pair(rng, length, 0.15, "abcdefgh") for length in (50, 160, 300)]
+    for ref, hyp in pairs:
+        got = align(ref, hyp, costs)
+        want = table_align(ref, hyp, costs)
+        assert (got.ops, got.cost_milli, got.counts) == (want.ops, want.cost_milli, want.counts)

@@ -166,11 +166,17 @@ def test_usage_errors_exit_1():
     ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
      "--gap-merge", "1.0005"),
     ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "12.0001"),
+    *[(sub, *inputs, "--k", k)
+      for sub, inputs in [("align", ("--ref", str(FIXTURES / "ref_a.txt"),
+                                     "--hyp", str(FIXTURES / "hyp_a.txt"))),
+                          ("risk", ("--nbest", str(FIXTURES / "nbest_small.jsonl")))]
+      for k in ("inf", "nan", "sNaN")],
 ])
 def test_bad_values_are_usage_errors_exit_1(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_malformed_rttm_exit_2(tmp_path):

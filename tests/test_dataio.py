@@ -122,6 +122,9 @@ class TestRttm:
          "f.rttm:2: segment duration must be positive, got -0.50"),
         ("LIGHTING rec1 1 0.00 1.00 x", "f.rttm: no SPEAKER records found"),
         ("", "f.rttm: no SPEAKER records found"),
+        ("SPEAKER rec1 1 99999999999999.999 1.00 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: segment [100000000000000.0, 100000000000001.0] of 'A' must be finite "
+         "with at most 3 decimal places, got 100000000000001.0"),
     ])
     def test_error_messages_exact(self, line, message):
         with pytest.raises(DataFormatError) as info:
@@ -153,6 +156,13 @@ class TestChangeStamps:
     def test_duplicate_recording_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate"):
             parse_change_stamps("r\t1.00\nr\t2.00\n")
+
+    def test_off_grid_stamp_names_line(self):
+        # 3 decimals, so it parses, but the double is off the millisecond grid
+        with pytest.raises(DataFormatError) as info:
+            parse_change_stamps("r\t1.00\ns\t650969265922957.403\n", source="f.stamps")
+        assert str(info.value) == ("f.stamps:2: timestamps of 's' must be finite with at most "
+                                   "3 decimal places, got 650969265922957.4")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_round_trip(self, seed):

@@ -138,6 +138,12 @@ class TestBatchLoss:
     def test_negative_nll_rejected(self):
         with pytest.raises(ValueError):
             batch_loss([], nll_weight=0.03, nll=-1.0)
+        nb = nbest_of(RISK_REF, [(RISK_REF, -1.0)])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="nll must be finite and >= 0"):
+                batch_loss([nb], nll_weight=0.03, nll=bad)
+            with pytest.raises(ValueError, match="nll_weight must be finite and >= 0"):
+                batch_loss([nb], nll_weight=bad, nll=0.0)
 
 
 def random_nbest(rng, max_hyps=8):

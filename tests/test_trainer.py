@@ -119,9 +119,12 @@ class TestTrainDynamics:
         # only the nll term moves the logits; loss still decreases toward it
         assert trace.final.loss_total < trace.initial.loss_total
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_divergence_aborts_with_step_index(self):
+        # every setting is finite, but the first update overflows the logits
+        huge = RiskConfig(alpha=1e308, beta=1e308, gamma=1e308)
         with pytest.raises(RuntimeError, match="step"):
-            train(st_vs_word_space(), TrainConfig(nll_weight=float("inf"), steps=10))
+            train(st_vs_word_space(), TrainConfig(learning_rate=1e308, steps=10, risk=huge))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -133,5 +136,6 @@ class TestTrainDynamics:
             TrainConfig(steps=0)
         with pytest.raises(ValueError):
             TrainConfig(nbest_n=0)
-        with pytest.raises(ValueError):
-            TrainConfig(nll_weight=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="nll_weight must be finite and >= 0"):
+                TrainConfig(nll_weight=bad)
