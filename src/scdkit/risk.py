@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .alignment import AlignmentCosts, ErrorCounts, align
 from .tokens import Token, TokenSeq, as_token_seq
@@ -69,6 +69,8 @@ class RiskConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        # a plain string compares equal to its member but fails the `is` test
+        object.__setattr__(self, "risk_kind", RiskKind(self.risk_kind))
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,22 @@ def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) ->
     return [math.exp(s) for s in scores]
 
 
+# (nbest, config, breakdown) of the last expected_risk call that returned.
+# risk_gradient calls expected_risk, so loss then gradient on the same N-best
+# aligns each hypothesis once.  Both keys are frozen, so the same NBest object
+# means the same values, and the strong references keep its id from reuse.
+_last: Optional[Tuple[NBest, RiskConfig, LossBreakdown]] = None
+
+
 def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakdown:
-    """Probability-weighted risk across the hypotheses of one utterance."""
+    """Probability-weighted risk across the hypotheses of one utterance.
+
+    Raises ``ValueError`` when the expected risk overflows to a non-finite value.
+    """
+    global _last
+    last = _last  # one read: a concurrent store can cost a miss, never a mismatch
+    if last is not None and last[0] is nbest and last[1] == config:
+        return last[2]
     probs = hypothesis_probs(nbest.hypotheses, config.normalize_scores)
     rows = hypothesis_errors(nbest.reference, (h.tokens for h in nbest.hypotheses), config)
     exp_risk = exp_fa = exp_fr = exp_w = 0.0
@@ -143,7 +159,10 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
         exp_fa += p * counts.st_insertions
         exp_fr += p * counts.st_deletions
         exp_w += p * counts.word_errors
-    return LossBreakdown(
+    if not math.isfinite(exp_risk):
+        raise ValueError(f"expected risk of {nbest.utterance_id!r} is not finite "
+                         f"({exp_risk}): the risk weights are too large")
+    breakdown = LossBreakdown(
         per_hyp_risk=tuple(r for r, _ in rows),
         per_hyp_prob=tuple(probs),
         expected_risk=exp_risk,
@@ -153,6 +172,8 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
         expected_fr=exp_fr,
         expected_w=exp_w,
     )
+    _last = (nbest, config, breakdown)
+    return breakdown
 
 
 def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
@@ -160,7 +181,8 @@ def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
     """Sum per-utterance breakdowns, in order, plus the weighted NLL regularizer.
 
     ``nll`` is the externally supplied negative log probability of the
-    ground truth.  Both arguments are checked before ``breakdowns`` is consumed.
+    ground truth.  Both arguments are checked before ``breakdowns`` is consumed,
+    and a total that overflows to a non-finite value raises ``ValueError``.
     """
     for name, v in (("nll_weight", nll_weight), ("nll", nll)):
         if not (math.isfinite(v) and v >= 0):
@@ -175,12 +197,16 @@ def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
         exp_fa += b.expected_fa
         exp_fr += b.expected_fr
         exp_w += b.expected_w
+    total = risk_sum + nll_weight * nll
+    if not math.isfinite(total):
+        raise ValueError(f"batch loss is not finite ({total}): expected risk {risk_sum} "
+                         f"+ nll_weight {nll_weight} * nll {nll}")
     return LossBreakdown(
         per_hyp_risk=tuple(risks),
         per_hyp_prob=tuple(probs),
         expected_risk=risk_sum,
         nll_term=nll,
-        total=risk_sum + nll_weight * nll,
+        total=total,
         expected_fa=exp_fa,
         expected_fr=exp_fr,
         expected_w=exp_w,
@@ -196,7 +222,9 @@ def batch_loss(batch: Sequence[NBest], nll_weight: float, nll: float,
 def risk_gradient(nbest: NBest, config: RiskConfig = RiskConfig()) -> List[float]:
     """d(expected risk)/d(log_score_j); softmax scores only.
 
-    g_j = p_j (r_j - E[r]); the components sum to zero.
+    g_j = p_j (r_j - E[r]); the components sum to zero.  Called right after
+    ``expected_risk`` on the same ``NBest`` and an equal config, it reuses
+    that call's alignments.
     """
     if not config.normalize_scores:
         raise ValueError("gradient is defined for softmax-normalized scores only")

@@ -26,6 +26,8 @@ class Token:
                 raise ValueError("word token needs non-empty text")
             if any(ch.isspace() for ch in self.text):
                 raise ValueError(f"word token text contains whitespace: {self.text!r}")
+            if self.text == ST_TEXT:
+                raise ValueError(f"word token text is the reserved turn marker {ST_TEXT!r}")
 
     @property
     def is_turn(self) -> bool:

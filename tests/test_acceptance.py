@@ -145,6 +145,7 @@ def test_criterion_05_gradient_check():
             for _ in range(rng.randint(1, 8)))
         nbest = NBest("g", ref, hyps)
         grad = risk_gradient(nbest, config)
+        assert len(grad) == len(hyps)
         fd = []
         for j in range(len(hyps)):
             def shifted(delta):

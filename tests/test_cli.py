@@ -179,6 +179,24 @@ def test_bad_values_are_usage_errors_exit_1(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("risk", "--nbest", str(FIXTURES / "nbest_small.jsonl"), "--lambda", "1e308",
+      "--nll", "2", "--format", "machine"), "batch loss is not finite"),
+    (("risk", "--nbest", str(FIXTURES / "nbest_small.jsonl"), "--alpha", "1e308"),
+     "expected risk of 'utt0' is not finite"),
+    (("train-toy", "--ref", str(FIXTURES / "ref_a.txt"), "--vocab", "<st>"),
+     "word token text is the reserved turn marker '<st>'"),
+    (("train-toy", "--ref", str(FIXTURES / "ref_a.txt"), "--vocab", "x y"),
+     "word token text contains whitespace: 'x y'"),
+])
+def test_unrepresentable_values_are_data_errors_exit_2(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_malformed_rttm_exit_2(tmp_path):
     bad = tmp_path / "bad.rttm"
     bad.write_text("SPEAKER rec 1 0.00 1.00 <NA> <NA>\n")

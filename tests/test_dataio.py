@@ -33,7 +33,7 @@ from scdkit.metrics import (
     purity_coverage,
 )
 from scdkit.risk import LossBreakdown, NBest, ScoredHypothesis
-from scdkit.tokens import SPEAKER_TURN, word
+from scdkit.tokens import SPEAKER_TURN, ST_TEXT, word
 from scdkit.trainer import TrainConfig, st_vs_word_space, train
 
 
@@ -68,6 +68,11 @@ class TestTokenize:
     def test_marker_collision_rejected(self):
         with pytest.raises(DataFormatError):
             tokenize_transcript("a <ST> b")
+
+    def test_library_word_cannot_be_turn_marker(self):
+        with pytest.raises(ValueError, match="reserved turn marker"):
+            word(ST_TEXT)
+        assert word("<ST>").text == "<ST>"
 
 
 class TestRttm:

@@ -22,10 +22,13 @@ _FIG1 = ("--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.sta
 _MULTI = ("--ref", str(FIXTURES / "multi.rttm"), "--hyp", str(FIXTURES / "multi.stamps"))
 _PAIR = ("--ref", str(FIXTURES / "ref_a.txt"), "--hyp", str(FIXTURES / "hyp_a.txt"))
 _NBEST = ("--nbest", str(FIXTURES / "nbest_small.jsonl"))
+# an optimal-path tie between a deletion and an insertion pins the try order
+_TIE = ("--ref", str(FIXTURES / "tie_ref.txt"), "--hyp", str(FIXTURES / "tie_hyp.txt"))
 
 CASES = {
     "align-table": ("align", *_PAIR),
     "align-machine": ("align", *_PAIR, "--format", "machine"),
+    "align-tie-table": ("align", *_TIE, "--k", "1"),
     "risk-table": ("risk", *_NBEST, "--nll", "1.5"),
     "risk-machine": ("risk", *_NBEST, "--format", "machine"),
     "risk-nbest-n": ("risk", *_NBEST, "--nbest-n", "2", "--k", "1.5"),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from scdkit.risk import (
     batch_loss,
     expected_risk,
     per_hyp_risk,
+    pooled_loss,
     risk_gradient,
 )
 from scdkit.tokens import SPEAKER_TURN, word
@@ -117,6 +119,22 @@ class TestExpectedRisk:
         assert b.expected_fr == 0.0
         assert b.expected_w == pytest.approx(0.5, abs=1e-12)
 
+    def test_overflowing_risk_rejected_and_not_remembered(self):
+        nb = nbest_of(RISK_REF, [(RISK_REF, -1.0), (RISK_HYP, -1.0)], uid="big")
+        huge = RiskConfig(alpha=1e308, beta=1e308)
+        with pytest.raises(ValueError, match="expected risk of 'big' is not finite"):
+            expected_risk(nb, huge)
+        # nothing was remembered, so the gradient's own call raises too
+        with pytest.raises(ValueError, match="'big' is not finite"):
+            risk_gradient(nb, huge)
+
+    def test_string_risk_kind_is_the_member(self):
+        cfg = RiskConfig(risk_kind="scd_weighted")
+        assert cfg.risk_kind is RiskKind.SCD_WEIGHTED
+        assert per_hyp_risk(RISK_REF, RISK_HYP, cfg) == 2.2
+        with pytest.raises(ValueError):
+            RiskConfig(risk_kind="no_such_kind")
+
 
 class TestBatchLoss:
     def test_all_correct_batch(self):
@@ -144,6 +162,14 @@ class TestBatchLoss:
                 batch_loss([nb], nll_weight=0.03, nll=bad)
             with pytest.raises(ValueError, match="nll_weight must be finite and >= 0"):
                 batch_loss([nb], nll_weight=bad, nll=0.0)
+
+    def test_overflowing_total_rejected(self):
+        nb = nbest_of(RISK_REF, [(RISK_HYP, -1.0)])
+        with pytest.raises(ValueError, match="batch loss is not finite"):
+            batch_loss([nb], nll_weight=1e308, nll=2.0)
+        big = expected_risk(nb, RiskConfig(alpha=1e307, beta=1e307))
+        with pytest.raises(ValueError, match="batch loss is not finite"):
+            pooled_loss([big] * 100, nll_weight=0.0, nll=0.0)
 
 
 def random_nbest(rng, max_hyps=8):
@@ -198,6 +224,7 @@ class TestGradient:
             nb = random_nbest(rng)
             g = risk_gradient(nb, cfg)
             fd = fd_gradient(nb, cfg)
+            assert len(g) == len(nb.hypotheses)
             scale = max(1.0, max(abs(x) for x in g), max(abs(x) for x in fd))
             err = max(abs(a - b) for a, b in zip(g, fd)) / scale
             assert err <= 1e-6
@@ -240,6 +267,30 @@ class TestAlignOncePerHypothesis:
         assert cli.main(["risk", "--nbest", str(path), "--format", "machine"]) == 0
         assert align_calls == hyps
         assert len(json.loads(capsys.readouterr().out)["batch"]["per_hyp_risk"]) == len(hyps)
+
+    def test_loss_then_gradient(self, align_calls):
+        records = parse_nbest((FIXTURES / "nbest_small.jsonl").read_text())
+        hyps = [h.tokens for nb in records for h in nb.hypotheses]
+        for nb in records:
+            loss = expected_risk(nb)
+            grad = risk_gradient(nb)
+            assert len(grad) == len(loss.per_hyp_risk) == len(nb.hypotheses)
+        assert align_calls == hyps
+        assert len(hyps) == 20
+
+    def test_config_change_between_loss_and_gradient(self):
+        text = (FIXTURES / "nbest_small.jsonl").read_text()
+        cfg = RiskConfig()
+        changed = replace(cfg, beta=3.5)
+        got, want, unchanged = [], [], []
+        for nb, twin in zip(parse_nbest(text), parse_nbest(text)):
+            assert twin == nb and twin is not nb
+            expected_risk(nb, cfg)
+            got.append(risk_gradient(nb, changed))
+            want.append(risk_gradient(twin, changed))
+            unchanged.append(risk_gradient(twin, cfg))
+        assert got == want
+        assert got != unchanged
 
     @pytest.mark.parametrize("space", [
         st_vs_word_space(),
