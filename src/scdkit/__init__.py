@@ -20,15 +20,6 @@ from .risk import (
     per_hyp_risk,
     risk_gradient,
 )
-from .trainer import (
-    HypothesisSpace,
-    TrainConfig,
-    TrainStep,
-    TrainTrace,
-    enumerate_candidates,
-    st_vs_word_space,
-    train,
-)
 from .metrics import (
     Annotation,
     ChangeHypothesis,
@@ -45,6 +36,8 @@ from .metrics import (
 )
 from .dataio import (
     DataFormatError,
+    TrainStep,
+    TrainTrace,
     parse_change_stamps,
     parse_nbest,
     parse_rttm,
@@ -112,3 +105,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Names of the numpy-backed trainer, loaded on first lookup (PEP 562) so
+# that importing scdkit does not import numpy.
+_TRAINER_NAMES = frozenset({
+    "HypothesisSpace", "TrainConfig", "enumerate_candidates", "st_vs_word_space", "train"})
+
+
+def __getattr__(name: str):
+    if name in _TRAINER_NAMES:
+        from . import trainer
+        return getattr(trainer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_TRAINER_NAMES})

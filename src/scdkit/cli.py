@@ -43,7 +43,6 @@ from .metrics import (
 )
 from .risk import NBest, RiskConfig, RiskKind, expected_risk, pooled_loss
 from .tokens import seq_to_text
-from .trainer import TrainConfig, enumerate_candidates, st_vs_word_space, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,6 +283,9 @@ def cmd_risk(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    # The trainer imports numpy; the other subcommands start without it.
+    from .trainer import TrainConfig, enumerate_candidates, st_vs_word_space, train
+
     if args.scenario:
         space = st_vs_word_space()
     else:

@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import re
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .metrics import (
@@ -31,7 +32,6 @@ from .metrics import (
 )
 from .risk import LossBreakdown, NBest, ScoredHypothesis
 from .tokens import SPEAKER_TURN, ST_TEXT, Token, TokenSeq, seq_to_text, word
-from .trainer import TrainStep, TrainTrace
 
 logger = logging.getLogger(__name__)
 
@@ -292,6 +292,33 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
 
 
 # ---------------------------------------------------------------------------
+# training trace records: what ``trainer.train`` returns and the trace codec
+# below writes and reads, defined here so that the codec does not load numpy
+
+@dataclass(frozen=True)
+class TrainStep:
+    loss_total: float
+    expected_fa: float
+    expected_fr: float
+    expected_w: float
+    argmax_candidate: int
+
+
+@dataclass(frozen=True)
+class TrainTrace:
+    records: Tuple[TrainStep, ...]  # steps + 1 entries, initial state first
+    final_model: Tuple[float, ...]  # the logits after the last step
+
+    @property
+    def initial(self) -> TrainStep:
+        return self.records[0]
+
+    @property
+    def final(self) -> TrainStep:
+        return self.records[-1]
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 TABLE = "table"
@@ -422,10 +449,15 @@ def read_report(text: str):
 # ---------------------------------------------------------------------------
 # training traces
 
+# One encoder for every trace record: json.dumps(..., sort_keys=True) builds
+# a new JSONEncoder per call.
+_SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_trace(trace: TrainTrace) -> str:
     lines = []
     for step, rec in enumerate(trace.records):
-        lines.append(json.dumps({"step": step, **vars(rec)}, sort_keys=True))
+        lines.append(_SORTED_ENCODER.encode({"step": step, **vars(rec)}))
     return "\n".join(lines) + "\n"
 
 

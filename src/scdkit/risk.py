@@ -109,10 +109,16 @@ def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[
 
 def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
                  config: RiskConfig = RiskConfig()) -> float:
-    """Risk of a single hypothesis against its reference (see ``hypothesis_errors``)."""
+    """Risk of a single hypothesis against its reference (see ``hypothesis_errors``).
+
+    Raises ``ValueError`` when the risk overflows to a non-finite value.
+    """
     if not as_token_seq(reference):
         raise ValueError("reference must contain at least one token")
-    return hypothesis_errors(reference, (hypothesis,), config)[0][0]
+    risk = hypothesis_errors(reference, (hypothesis,), config)[0][0]
+    if not math.isfinite(risk):
+        raise ValueError(f"risk is not finite ({risk}): the risk weights are too large")
+    return risk
 
 
 def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) -> List[float]:

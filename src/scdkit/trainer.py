@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dataio import TrainStep, TrainTrace
 from .risk import RiskConfig, hypothesis_errors
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
@@ -66,29 +67,6 @@ class TrainConfig:
             raise ValueError(f"nbest_n must be >= 1 or None, got {self.nbest_n}")
         if not (math.isfinite(self.nll_weight) and self.nll_weight >= 0):
             raise ValueError(f"nll_weight must be finite and >= 0, got {self.nll_weight}")
-
-
-@dataclass(frozen=True)
-class TrainStep:
-    loss_total: float
-    expected_fa: float
-    expected_fr: float
-    expected_w: float
-    argmax_candidate: int
-
-
-@dataclass(frozen=True)
-class TrainTrace:
-    records: Tuple[TrainStep, ...]  # steps + 1 entries, initial state first
-    final_model: Tuple[float, ...]  # the logits after the last step
-
-    @property
-    def initial(self) -> TrainStep:
-        return self.records[0]
-
-    @property
-    def final(self) -> TrainStep:
-        return self.records[-1]
 
 
 def _token_sort_key(t: Token):

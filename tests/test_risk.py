@@ -18,6 +18,7 @@ from scdkit.risk import (
     ScoredHypothesis,
     batch_loss,
     expected_risk,
+    hypothesis_errors,
     per_hyp_risk,
     pooled_loss,
     risk_gradient,
@@ -71,6 +72,15 @@ class TestPerHypRisk:
         hi = RiskConfig(beta=6)
         assert per_hyp_risk(RISK_REF, fa_hyp, hi) > per_hyp_risk(RISK_REF, fa_hyp, lo)
         assert per_hyp_risk(RISK_REF, clean_hyp, hi) == per_hyp_risk(RISK_REF, clean_hyp, lo)
+
+    def test_overflowing_risk_rejected(self):
+        # One word error plus one missed turn, each weighted 1e308: the sum is inf.
+        huge = RiskConfig(alpha=1e308, gamma=1e308)
+        with pytest.raises(ValueError, match=r"risk is not finite \(inf\)"):
+            per_hyp_risk(toks("a b <st>"), toks("c d"), huge)
+        # The rows under it stay raw, and the same weights on a clean pair are finite.
+        assert hypothesis_errors(toks("a b <st>"), (toks("c d"),), huge)[0][0] == math.inf
+        assert per_hyp_risk(toks("a b <st>"), toks("a b <st>"), huge) == 0.0
 
 
 def nbest_of(ref, hyps_with_scores, uid="utt"):
