@@ -7,7 +7,7 @@ marker aligned or pay 2k to rewrite it.  The marker therefore counts as
 correct exactly when m <= floor(k).
 """
 
-from scdkit.alignment import AlignmentCosts, align
+from scdkit.alignment import AlignmentCosts, align_counts
 from scdkit.tokens import SPEAKER_TURN, word
 
 
@@ -28,7 +28,7 @@ def main():
         ref, hyp = shifted_pair(m)
         cells = []
         for k in ks:
-            c = align(ref, hyp, AlignmentCosts.from_k(k)).counts
+            c = align_counts(ref, hyp, AlignmentCosts.from_k(k))
             ok = c.st_insertions == 0 and c.st_deletions == 0
             cells.append(f"ok W={c.word_errors}" if ok else "fa+fr ")
         print(f"{m:>8} | " + " | ".join(f"{cell:<6}" for cell in cells))

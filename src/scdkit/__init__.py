@@ -8,6 +8,7 @@ from .alignment import (
     ErrorCounts,
     OpKind,
     align,
+    align_counts,
 )
 from .risk import (
     LossBreakdown,
@@ -62,6 +63,7 @@ __all__ = [
     "ErrorCounts",
     "OpKind",
     "align",
+    "align_counts",
     "LossBreakdown",
     "NBest",
     "RiskConfig",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import accumulate
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .tokens import Token, as_token_seq
 
@@ -80,6 +80,8 @@ class EditOp:
     hyp_index: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # a str kind becomes its member (it would fail the `is` tests); an unknown one raises
+        object.__setattr__(self, "kind", OpKind(self.kind))
         if self.kind in (OpKind.MATCH, OpKind.WORD_SUB):
             ok = self.ref_index is not None and self.hyp_index is not None
         elif self.kind is OpKind.INSERT:
@@ -115,73 +117,98 @@ class Alignment:
     counts: ErrorCounts
 
 
+def _key_rows(ref_text: Sequence[Optional[str]], hyp_text: Sequence[Optional[str]],
+              st_cost: int, keep_rows: bool) -> List[List[int]]:
+    """Key rows of the alignment DP: all n+1 rows when ``keep_rows``, else only the last.
+
+    Ties go Match on equal text, then Delete, then Insert, then WordSub;
+    ``align`` replays that order.
+    """
+    # key = cost_milli * scale + turn errors; turn errors <= n + m < scale,
+    # so comparing keys compares (cost, turn errors) in that order.
+    scale = len(ref_text) + len(hyp_text) + 1
+    word_step = WORD_COST_MILLI * scale
+    turn_step = st_cost * scale + 1
+    hyp_step = [turn_step if h is None else word_step for h in hyp_text]
+    prev = list(accumulate(hyp_step, initial=0))
+    rows = [prev]
+    for r in ref_text:
+        r_step = turn_step if r is None else word_step
+        left = prev[0] + r_step
+        cur = [left]
+        for diag, up, h, h_step in zip(prev, prev[1:], hyp_text, hyp_step):
+            if r == h:
+                # deleting r and inserting h add the same step, so neither beats the match
+                left = diag
+            else:
+                best = up + r_step
+                if left + h_step < best:
+                    best = left + h_step
+                if r is not None and h is not None and diag + word_step < best:
+                    best = diag + word_step
+                left = best
+            cur.append(left)
+        prev = cur
+        if keep_rows:
+            rows.append(cur)
+    return rows if keep_rows else [prev]
+
+
+def _counts_from_key(key: int, ref_text: Sequence[Optional[str]],
+                     hyp_text: Sequence[Optional[str]], st_cost: int) -> Tuple[int, ErrorCounts]:
+    """(cost_milli, error counts) from the final DP key.
+
+    Every turn is matched, inserted (FA) or deleted (FR), and every word
+    edit costs WORD_COST_MILLI, so the final key fixes all four counts.
+    """
+    cost, turn_errors = divmod(key, len(ref_text) + len(hyp_text) + 1)
+    hyp_turns = hyp_text.count(None)
+    fa = (turn_errors + hyp_turns - ref_text.count(None)) // 2
+    return cost, ErrorCounts(
+        word_errors=(cost - st_cost * turn_errors) // WORD_COST_MILLI,
+        st_insertions=fa, st_deletions=turn_errors - fa, st_correct=hyp_turns - fa)
+
+
+def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
+                 costs: AlignmentCosts = DEFAULT_COSTS) -> ErrorCounts:
+    """``align(reference, hypothesis, costs).counts``, read from the DP's last row, no path."""
+    ref_text = [t.text for t in as_token_seq(reference)]
+    hyp_text = [t.text for t in as_token_seq(hypothesis)]
+    key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=False)[-1][-1]
+    return _counts_from_key(key, ref_text, hyp_text, costs.st_cost_milli)[1]
+
+
 def align(reference: Sequence[Token], hypothesis: Sequence[Token],
           costs: AlignmentCosts = DEFAULT_COSTS) -> Alignment:
     """Optimal constrained alignment of ``hypothesis`` against ``reference``.
 
     Total function: empty sequences are allowed and align at cost 0.
     """
-    ref = as_token_seq(reference)
-    hyp = as_token_seq(hypothesis)
-    n, m = len(ref), len(hyp)
-    st_cost = costs.st_cost_milli
-    # key = cost_milli * scale + turn errors; turn errors <= n + m < scale,
-    # so comparing keys compares (cost, turn errors) in that order.
-    scale = n + m + 1
-    word_step = WORD_COST_MILLI * scale
-    turn_step = st_cost * scale + 1
-    ref_text = [t.text for t in ref]
-    hyp_text = [t.text for t in hyp]
-    hyp_step = [turn_step if h is None else word_step for h in hyp_text]
-
-    back = [[OpKind.INSERT] * (m + 1)]
-    prev = list(accumulate(hyp_step, initial=0))
-    for r in ref_text:
-        r_step = turn_step if r is None else word_step
-        row = [OpKind.DELETE] * (m + 1)
-        left = prev[0] + r_step
-        cur = [left]
-        for j, h in enumerate(hyp_text):
-            if r == h:
-                # deleting r and inserting h add the same step, so neither beats the match
-                left = prev[j]
-                row[j + 1] = OpKind.MATCH
-            else:
-                best = prev[j + 1] + r_step
-                cand = left + hyp_step[j]
-                if cand < best:
-                    best = cand
-                    row[j + 1] = OpKind.INSERT
-                if r is not None and h is not None and prev[j] + word_step < best:
-                    best = prev[j] + word_step
-                    row[j + 1] = OpKind.WORD_SUB
-                left = best
-            cur.append(left)
-        back.append(row)
-        prev = cur
-
+    ref_text = [t.text for t in as_token_seq(reference)]
+    hyp_text = [t.text for t in as_token_seq(hypothesis)]
+    rows = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=True)
+    # Walk back from the final cell, taking at each cell the op the DP chose
+    # there.  Row 0 and column 0 sum the token steps, so they give each
+    # token's delete or insert step, and on row 0 or column 0 the Insert or
+    # Delete test always holds.
     ops = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        kind = back[i][j]
-        if kind is OpKind.MATCH or kind is OpKind.WORD_SUB:
-            ops.append(EditOp(kind, ref_index=i - 1, hyp_index=j - 1))
+    i, j = len(ref_text), len(hyp_text)
+    while i or j:
+        key = rows[i][j]
+        if i and j and ref_text[i - 1] == hyp_text[j - 1]:
+            ops.append(EditOp(OpKind.MATCH, ref_index=i - 1, hyp_index=j - 1))
             i -= 1
             j -= 1
-        elif kind is OpKind.DELETE:
-            ops.append(EditOp(kind, ref_index=i - 1))
+        elif i and rows[i - 1][j] + rows[i][0] - rows[i - 1][0] == key:
+            ops.append(EditOp(OpKind.DELETE, ref_index=i - 1))
             i -= 1
+        elif j and rows[i][j - 1] + rows[0][j] - rows[0][j - 1] == key:
+            ops.append(EditOp(OpKind.INSERT, hyp_index=j - 1))
+            j -= 1
         else:
-            ops.append(EditOp(kind, hyp_index=j - 1))
+            ops.append(EditOp(OpKind.WORD_SUB, ref_index=i - 1, hyp_index=j - 1))
+            i -= 1
             j -= 1
     ops.reverse()
-
-    # Every turn is matched, inserted (FA) or deleted (FR), and every word
-    # edit costs WORD_COST_MILLI, so the final key fixes all four counts.
-    cost, turn_errors = divmod(prev[m], scale)
-    ref_turns = ref_text.count(None)
-    hyp_turns = hyp_text.count(None)
-    fa = (turn_errors + hyp_turns - ref_turns) // 2
-    return Alignment(ops=tuple(ops), cost_milli=cost, counts=ErrorCounts(
-        word_errors=(cost - st_cost * turn_errors) // WORD_COST_MILLI,
-        st_insertions=fa, st_deletions=turn_errors - fa, st_correct=hyp_turns - fa))
+    cost, counts = _counts_from_key(rows[-1][-1], ref_text, hyp_text, costs.st_cost_milli)
+    return Alignment(ops=tuple(ops), cost_milli=cost, counts=counts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .alignment import AlignmentCosts, ErrorCounts, align
+from .alignment import AlignmentCosts, ErrorCounts, align_counts
 from .tokens import Token, TokenSeq, as_token_seq
 
 # exp(log_score) above this is not a probability
@@ -89,7 +89,7 @@ def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[
                       config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
     """(risk, error counts) of each hypothesis, aligned once against ``reference``.
 
-    The one place in the risk path that aligns.  The risk is
+    The one place in the risk path that aligns; it builds no path.  The risk is
     (alpha*W + beta*FA + gamma*FR) / |reference| for the turn-weighted
     kind and raw W + FA + FR for the word-error-only kind.
     """
@@ -99,7 +99,7 @@ def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[
         raise ValueError("reference must contain at least one token")
     rows = []
     for hyp in hypotheses:
-        c = align(ref, hyp, config.costs).counts
+        c = align_counts(ref, hyp, config.costs)
         risk = ((config.alpha * c.word_errors + config.beta * c.st_insertions
                  + config.gamma * c.st_deletions) / len(ref)
                 if weighted else float(c.total_errors))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from _alignment_oracle import brute_force_align, cost_from_ops, counts_from_ops, table_align
 from scdkit.alignment import (
     AlignmentCosts,
+    EditOp,
     ErrorCounts,
     OpKind,
     align,
+    align_counts,
     k_to_milli,
 )
 from scdkit.tokens import SPEAKER_TURN, word
@@ -144,6 +146,7 @@ class TestOracleEquivalence:
         oracle = brute_force_align(ref, hyp, costs)
         assert got.cost_milli == oracle.cost_milli
         assert got.counts in oracle.optimal_counts
+        assert align_counts(ref, hyp, costs) in oracle.optimal_counts
 
     @given(ref=st.lists(st.sampled_from("abc"), max_size=6),
            hyp=st.lists(st.sampled_from("abc"), max_size=6),
@@ -259,3 +262,26 @@ def test_matches_table_dp_exactly(k):
         got = align(ref, hyp, costs)
         want = table_align(ref, hyp, costs)
         assert (got.ops, got.cost_milli, got.counts) == (want.ops, want.cost_milli, want.counts)
+
+
+@pytest.mark.parametrize("k", ["1", "1.1", "1.5", "2", "2.5"])
+def test_counts_match_table_dp_exactly(k):
+    # the same seeded pairs as test_matches_table_dp_exactly
+    rng = random.Random(f"table-dp-{k}")
+    costs = AlignmentCosts.from_k(k)
+    pairs = [random_pair(rng, rng.randint(0, 20), rng.uniform(0.0, 0.6), "abcd"[:rng.randint(1, 4)])
+             for _ in range(200)]
+    pairs += [random_pair(rng, length, 0.15, "abcdefgh") for length in (50, 160, 300)]
+    for ref, hyp in pairs:
+        assert align_counts(ref, hyp, costs) == table_align(ref, hyp, costs).counts
+
+
+class TestEditOp:
+    def test_kind_string_becomes_member(self):
+        op = EditOp("delete", ref_index=0)
+        assert op.kind is OpKind.DELETE
+        assert op == EditOp(OpKind.DELETE, ref_index=0)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            EditOp("bogus", ref_index=0)

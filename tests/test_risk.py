@@ -256,17 +256,17 @@ class TestGradient:
 
 @pytest.fixture
 def align_calls(monkeypatch):
-    """Hypotheses passed to ``align`` by any scdkit module, in call order."""
+    """Hypotheses passed to ``align_counts`` by any scdkit module, in call order."""
     calls = []
-    original = alignment.align
+    original = alignment.align_counts
 
     def counted(reference, hypothesis, *args, **kwargs):
         calls.append(tuple(hypothesis))
         return original(reference, hypothesis, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("scdkit.") and vars(mod).get("align") is original:
-            monkeypatch.setattr(mod, "align", counted)
+        if name.startswith("scdkit.") and vars(mod).get("align_counts") is original:
+            monkeypatch.setattr(mod, "align_counts", counted)
     return calls
 
 
@@ -287,6 +287,24 @@ class TestAlignOncePerHypothesis:
             assert len(grad) == len(loss.per_hyp_risk) == len(nb.hypotheses)
         assert align_calls == hyps
         assert len(hyps) == 20
+
+    def test_loss_then_gradient_builds_no_path(self, align_calls, monkeypatch):
+        ops = []
+        post_init = alignment.EditOp.__post_init__
+
+        def counted(op):
+            ops.append(op)
+            post_init(op)
+
+        monkeypatch.setattr(alignment.EditOp, "__post_init__", counted)
+        records = parse_nbest((FIXTURES / "nbest_small.jsonl").read_text())
+        for nb in records:
+            expected_risk(nb)
+            risk_gradient(nb)
+        assert len(align_calls) == 20
+        assert ops == []
+        alignment.align(RISK_REF, RISK_HYP)  # the counter does see a path being built
+        assert ops
 
     def test_config_change_between_loss_and_gradient(self):
         text = (FIXTURES / "nbest_small.jsonl").read_text()
