@@ -85,14 +85,15 @@ def _positive_float(text: str) -> float:
 
 
 def _seconds(parse):
-    """The argument type ``parse`` that also rejects more than 3 decimal places."""
+    """The argument type ``parse`` that also rejects more than 3 decimal
+    places and values of 10**12 s or more."""
     def seconds(text: str) -> float:
         v = parse(text)
         try:
             _ms(v, "seconds")
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected at most 3 decimal places, got {text!r}") from None
+                f"expected below 10**12 s with at most 3 decimal places, got {text!r}") from None
         return v
     return seconds
 
@@ -293,7 +294,7 @@ def cmd_train_toy(args) -> int:
         if not ref:
             raise DataFormatError(f"{args.ref}: transcript is empty")
         if args.vocab:
-            vocab = [w for w in args.vocab.split(",") if w]
+            vocab = [w.casefold() for w in args.vocab.split(",") if w]
         else:
             vocab = sorted({t.text for t in ref if not t.is_turn})
         if not vocab:
@@ -397,10 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
+    except (DataFormatError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,9 @@ Formats:
 
 Parsers reject malformed records with the offending position instead of
 guessing.  Timestamps are decimal seconds with at most millisecond
-resolution, preserved exactly.
+resolution, preserved exactly; a time of 10**12 s or more is rejected, as
+from there on such a decimal can have more significant digits than a
+double holds exactly.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def serialize_rttm(annotations: Sequence[Annotation]) -> str:
     for ann in annotations:
         for seg in ann.segments:
             lines.append(f"SPEAKER {ann.recording_id} 1 {format_seconds(seg.start)} "
-                         f"{format_seconds(round(seg.end - seg.start, 3))} "
+                         f"{format_seconds((seg.span[1] - seg.span[0]) / 1000)} "
                          f"<NA> <NA> {seg.speaker} <NA> <NA>")
     return "\n".join(lines) + "\n"
 
@@ -167,7 +169,7 @@ def parse_change_stamps(stream: Union[str, io.TextIOBase, Iterable[str]],
             raise DataFormatError(f"{where}: duplicate recording id {rec_id!r}")
         seen.add(rec_id)
         rest = rest.strip()
-        stamps = tuple(parse_seconds(tok, where) for tok in rest.split(",") if tok) if rest else ()
+        stamps = tuple(parse_seconds(tok, where) for tok in rest.split(",")) if rest else ()
         try:
             out.append(ChangeHypothesis(rec_id, stamps))
         except ValueError as exc:
@@ -266,8 +268,7 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
     target_ms = _ms(target, "target")
     if target_ms <= 0:
         raise ValueError(f"target must be > 0, got {target}")
-    spans = sorted((_ms(s.start, "segment start"), _ms(s.end, "segment end"))
-                   for s in annotation.segments)
+    spans = sorted(s.span for s in annotation.segments)
     windows: List[Tuple[float, float]] = []
     win_start: Optional[int] = None
     win_end = 0

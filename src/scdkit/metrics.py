@@ -18,9 +18,9 @@ match or overlap, so scoring S segments against P predictions takes
 O((S+P) log(S+P)) time for a bounded number of concurrent speakers.
 
 Time is exact integer milliseconds inside this module.  The public types
-keep float seconds, but their constructors and every time argument pass
-through ``_ms``, which rejects values off the millisecond grid, so
-``round(t * 1000)`` of a validated value is exact.  Spans are closed
+keep float seconds, and every time passes through ``_ms`` once: the
+segment and hypothesis constructors store its result, and the metric
+functions convert only their own arguments.  Spans are closed
 ``(start_ms, end_ms)`` pairs; every comparison, overlap and duration sum
 is integer arithmetic, and reports divide by 1000 once.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Span = Tuple[int, int]
@@ -39,15 +39,19 @@ Coverage = Dict[str, Tuple[Span, ...]]
 def _ms(seconds: float, what: str) -> int:
     """``seconds`` as exact integer milliseconds.
 
-    Raises ValueError when the value is not finite or not on the
-    millisecond grid, the resolution the text formats carry.
+    Raises ValueError when the value is not finite, not on the millisecond
+    grid (the resolution the text formats carry) or not below 10**12 s in
+    magnitude.  Below that bound a decimal with at most 3 fractional digits
+    has at most 15 significant digits, which a double holds exactly, so the
+    milliseconds of every accepted value are the ones its text spelled.
     """
     scaled = seconds * 1000
     if math.isfinite(scaled):
         ms = round(scaled)
-        if ms / 1000 == seconds:
+        if ms / 1000 == seconds and abs(ms) < 10**15:
             return ms
-    raise ValueError(f"{what} must be finite with at most 3 decimal places, got {seconds!r}")
+    raise ValueError(f"{what} must be finite, below 10**12 s in magnitude and with at most "
+                     f"3 decimal places, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -55,17 +59,21 @@ class SpeakerSegment:
     speaker: str
     start: float
     end: float
+    # (start_ms, end_ms), converted once here for every reader
+    span: Span = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.speaker:
             raise ValueError("speaker id must be non-empty")
-        start_ms, end_ms = (_ms(t, f"segment [{self.start}, {self.end}] of {self.speaker!r}")
-                            for t in (self.start, self.end))
+        start_ms, end_ms = span = tuple(
+            _ms(t, f"segment [{self.start}, {self.end}] of {self.speaker!r}")
+            for t in (self.start, self.end))
         if start_ms < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
         if end_ms <= start_ms:
             raise ValueError(
                 f"segment [{self.start}, {self.end}] of {self.speaker!r} has no duration")
+        object.__setattr__(self, "span", span)
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,14 @@ class Annotation:
 class ChangeHypothesis:
     recording_id: str
     timestamps: Tuple[float, ...]
+    # the sorted timestamps in ms, converted once here for every reader
+    stamps_ms: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         stamps = tuple(sorted(set(self.timestamps)))
-        for t in stamps:
-            _ms(t, f"timestamps of {self.recording_id!r}")
         object.__setattr__(self, "timestamps", stamps)
+        object.__setattr__(self, "stamps_ms", tuple(
+            _ms(t, f"timestamps of {self.recording_id!r}") for t in stamps))
 
 
 @dataclass(frozen=True)
@@ -194,8 +204,7 @@ def speaker_coverage(annotation: Annotation, gap_ms: int = 0) -> Coverage:
     positive-length segments also merges same-speaker gaps of at most ``gap_ms``."""
     by_speaker: Dict[str, List[Span]] = {}
     for seg in annotation.segments:
-        by_speaker.setdefault(seg.speaker, []).append(
-            (round(seg.start * 1000), round(seg.end * 1000)))
+        by_speaker.setdefault(seg.speaker, []).append(seg.span)
     return {spk: _union(spans, gap_ms) for spk, spans in by_speaker.items()}
 
 
@@ -290,7 +299,7 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     pieces = _coverage_pieces(coverage)
     intervals = _runs(pieces, lambda c: c != 1)
     t_min, t_max = pieces[0][0], pieces[-1][1]
-    kept = [t for t in (round(t * 1000) for t in hypothesis.timestamps) if t_min <= t <= t_max]
+    kept = [t for t in hypothesis.stamps_ms if t_min <= t <= t_max]
 
     # The change intervals are sorted and disjoint, so those touching the
     # window [t - collar, t + collar] form one run: from the first ending at
@@ -334,7 +343,7 @@ def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> Lis
     """The annotated span cut at the kept prediction timestamps, in ms."""
     t_min = min(spans[0][0] for spans in coverage.values())
     t_max = max(spans[-1][1] for spans in coverage.values())
-    cuts = [t for t in (round(t * 1000) for t in hypothesis.timestamps) if t_min < t < t_max]
+    cuts = [t for t in hypothesis.stamps_ms if t_min < t < t_max]
     bounds = [t_min] + cuts + [t_max]
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 

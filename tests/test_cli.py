@@ -197,6 +197,54 @@ def test_unrepresentable_values_are_data_errors_exit_2(argv, message):
     assert proc.stderr.count("\n") == 1
 
 
+def test_time_of_10_to_the_12_s_or_more_is_a_data_error_exit_2(tmp_path):
+    rttm = tmp_path / "big.rttm"
+    rttm.write_text("SPEAKER r 1 9007199254740.993 1.000 <NA> <NA> A <NA> <NA>\n")
+    proc = run_cli("segment", "--ref", str(rttm), "--target", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {rttm}:1: ") and "below 10**12 s" in proc.stderr
+    stamps = tmp_path / "big.stamps"
+    stamps.write_text("fig1\t10.2\nfig2\t1000000000000.000\n")
+    proc = run_cli("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(stamps))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {stamps}:2: ") and "below 10**12 s" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--collar", "9007199254740.993"),
+    ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+     "--gap-merge", "1000000000000"),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "1000000000000"),
+])
+def test_flag_of_10_to_the_12_s_or_more_is_a_usage_error_exit_1(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"expected below 10**12 s with at most 3 decimal places, got '{argv[-1]}'" \
+        in proc.stderr
+
+
+def test_empty_stamp_item_is_a_data_error_exit_2(tmp_path):
+    stamps = tmp_path / "e.stamps"
+    stamps.write_text("fig1\t10.2,,19.5,\n")
+    proc = run_cli("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(stamps))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {stamps}:1: '' is not a decimal number of seconds "
+                           "(at most 3 fractional digits)\n")
+
+
+def test_vocab_words_are_case_folded(tmp_path):
+    argv = ("train-toy", "--ref", str(FIXTURES / "ref_a.txt"), "--steps", "3")
+    upper = run_cli(*argv, "--vocab", "HOW,Good", check=True)
+    lower = run_cli(*argv, "--vocab", "how,good", check=True)
+    assert upper.stdout == lower.stdout and upper.stderr == lower.stderr
+    proc = run_cli(*argv, "--vocab", "a,<ST>")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: word token text is the reserved turn marker '<st>'\n"
+
+
 def test_malformed_rttm_exit_2(tmp_path):
     bad = tmp_path / "bad.rttm"
     bad.write_text("SPEAKER rec 1 0.00 1.00 <NA> <NA>\n")

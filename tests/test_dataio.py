@@ -2,6 +2,7 @@ import logging
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from _scenarios import random_annotation
 from scdkit.dataio import (
@@ -128,8 +129,9 @@ class TestRttm:
         ("LIGHTING rec1 1 0.00 1.00 x", "f.rttm: no SPEAKER records found"),
         ("", "f.rttm: no SPEAKER records found"),
         ("SPEAKER rec1 1 99999999999999.999 1.00 <NA> <NA> A <NA> <NA>",
-         "f.rttm:2: segment [100000000000000.0, 100000000000001.0] of 'A' must be finite "
-         "with at most 3 decimal places, got 100000000000001.0"),
+         "f.rttm:2: segment [100000000000000.0, 100000000000001.0] of 'A' must be finite, "
+         "below 10**12 s in magnitude and with at most 3 decimal places, "
+         "got 100000000000000.0"),
     ])
     def test_error_messages_exact(self, line, message):
         with pytest.raises(DataFormatError) as info:
@@ -158,6 +160,13 @@ class TestChangeStamps:
         with pytest.raises(DataFormatError, match=":1"):
             parse_change_stamps("rec1 1.5,2.0")
 
+    @pytest.mark.parametrize("stamps", ["1.0,,5.0", "1.0,5.0,", ",1.0"])
+    def test_empty_item_rejected(self, stamps):
+        with pytest.raises(DataFormatError) as info:
+            parse_change_stamps(f"q\t\nr\t{stamps}\n", source="f.stamps")
+        assert str(info.value) == ("f.stamps:2: '' is not a decimal number of seconds "
+                                   "(at most 3 fractional digits)")
+
     def test_duplicate_recording_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate"):
             parse_change_stamps("r\t1.00\nr\t2.00\n")
@@ -166,8 +175,9 @@ class TestChangeStamps:
         # 3 decimals, so it parses, but the double is off the millisecond grid
         with pytest.raises(DataFormatError) as info:
             parse_change_stamps("r\t1.00\ns\t650969265922957.403\n", source="f.stamps")
-        assert str(info.value) == ("f.stamps:2: timestamps of 's' must be finite with at most "
-                                   "3 decimal places, got 650969265922957.4")
+        assert str(info.value) == ("f.stamps:2: timestamps of 's' must be finite, below 10**12 s "
+                                   "in magnitude and with at most 3 decimal places, "
+                                   "got 650969265922957.4")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_round_trip(self, seed):
@@ -188,6 +198,43 @@ def random_nbest_record(rng, uid):
                          round(rng.uniform(-9, 0), 6))
         for _ in range(rng.randint(1, 4)))
     return NBest(uid, ref, hyps)
+
+
+@st.composite
+def seconds_texts(draw, int_digits):
+    """A decimal seconds text with ``int_digits`` integer digits (no leading
+    zero) and 0-3 fractional digits, with the milliseconds its digits spell."""
+    n = draw(int_digits)
+    whole = draw(st.integers(0 if n == 1 else 10 ** (n - 1), 10 ** n - 1))
+    frac = draw(st.text("0123456789", max_size=3))
+    return (f"{whole}.{frac}" if frac else str(whole)), whole * 1000 + int(frac.ljust(3, "0"))
+
+
+class TestExactTime:
+    """Below 10**12 s a parsed time is exactly the milliseconds its text
+    spells; at 10**12 s or more it is a data error naming the file and line."""
+
+    @given(seconds_texts(st.integers(1, 12)))
+    def test_in_range_times_store_their_digits(self, case):
+        text, ms = case
+        [hyp] = parse_change_stamps(f"r\t{text}\n")
+        assert hyp.stamps_ms == (ms,)
+        assume(ms + 1 < 10**15)  # the segment end must be in range as well
+        [a] = parse_rttm(f"SPEAKER r 1 {text} 0.001 <NA> <NA> A <NA> <NA>\n")
+        assert a.segments[0].span == (ms, ms + 1)
+
+    @given(seconds_texts(st.integers(13, 25)))
+    def test_times_of_10_to_the_12_s_or_more_are_rejected(self, case):
+        text, _ = case
+        with pytest.raises(DataFormatError, match=r"^f\.rttm:2: .*below 10\*\*12 s"):
+            parse_rttm(f"\nSPEAKER r 1 {text} 1.000 <NA> <NA> A <NA> <NA>\n", source="f.rttm")
+        with pytest.raises(DataFormatError, match=r"^f\.stamps:2: .*below 10\*\*12 s"):
+            parse_change_stamps(f"q\t1.0\nr\t0.5,{text}\n", source="f.stamps")
+
+    def test_largest_time_is_exact(self):
+        [hyp] = parse_change_stamps("r\t999999999999.999\n")
+        assert hyp.stamps_ms == (999999999999999,)
+        assert serialize_change_stamps([hyp]) == "r\t999999999999.999\n"
 
 
 class TestNBestFile:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from _scenarios import random_annotation, random_hypothesis, random_partition_annotation
+from scdkit import dataio, metrics
 from scdkit.dataio import segment_longform
 from scdkit.metrics import (
     Annotation,
@@ -364,6 +365,43 @@ class TestValidation:
             purity_coverage(FIG1, hyp, gap_merge=bad)
         with pytest.raises(ValueError, match="target"):
             segment_longform(FIG1, bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SpeakerSegment("A", 1e12, 1e12 + 1),
+        lambda: SpeakerSegment("A", 0.0, 1e12),
+        lambda: ChangeHypothesis("r", (1e12,)),
+        lambda: ChangeHypothesis("r", (-1e12,)),
+        lambda: score_changes(FIG1, ChangeHypothesis("fig1", ()), collar=1e12),
+    ])
+    def test_times_of_10_to_the_12_s_or_more_rejected(self, make):
+        with pytest.raises(ValueError, match=r"below 10\*\*12 s in magnitude"):
+            make()
+
+    def test_largest_times_accepted(self):
+        assert SpeakerSegment("A", 0.0, 999999999999.999).span == (0, 999999999999999)
+        assert ChangeHypothesis("r", (-999999999999.999,)).stamps_ms == (-999999999999999,)
+
+    def test_stored_ms_are_not_compared_or_shown(self):
+        seg = SpeakerSegment("A", 1.5, 3.25)
+        assert seg.span == (1500, 3250)
+        assert repr(seg) == "SpeakerSegment(speaker='A', start=1.5, end=3.25)"
+        hyp = ChangeHypothesis("r", (3.0, 1.25, 3.0))
+        assert hyp.stamps_ms == (1250, 3000)
+        assert repr(hyp) == "ChangeHypothesis(recording_id='r', timestamps=(1.25, 3.0))"
+        assert replace(hyp, timestamps=(2.0,)).stamps_ms == (2000,)
+
+    def test_each_time_is_converted_once_at_construction(self, monkeypatch):
+        hyp = ChangeHypothesis("fig1", (10.2, 19.5))
+        calls = []
+        for module in (metrics, dataio):
+            real = module._ms
+            monkeypatch.setattr(module, "_ms",
+                                lambda s, what, real=real: calls.append(what) or real(s, what))
+        score_changes(FIG1, hyp, collar=0.25, gap_merge=0.5)
+        purity_coverage(FIG1, hyp, gap_merge=0.5)
+        segment_longform(FIG1, 12.0)
+        dataio.serialize_rttm([FIG1])
+        assert calls == ["gap_merge", "collar", "gap_merge", "target"]
 
     def test_zero_length_segment_rejected(self):
         with pytest.raises(ValueError):
