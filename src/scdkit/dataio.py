@@ -37,7 +37,8 @@ from .tokens import SPEAKER_TURN, ST_TEXT, Token, TokenSeq, seq_to_text, word
 
 logger = logging.getLogger(__name__)
 
-_SECONDS_RE = re.compile(r"^-?\d+(\.\d{1,3})?$")
+# group 1 is the integer part without leading zeros
+_SECONDS_RE = re.compile(r"^-?0*(\d+)(\.\d{1,3})?$")
 
 
 class DataFormatError(Exception):
@@ -45,10 +46,14 @@ class DataFormatError(Exception):
 
 
 def parse_seconds(text: str, where: str) -> float:
-    if not _SECONDS_RE.match(text):
+    m = _SECONDS_RE.match(text)
+    if not m:
         raise DataFormatError(
             f"{where}: {text!r} is not a decimal number of seconds "
             "(at most 3 fractional digits)")
+    # the bound of metrics._ms, checked on the text so that the error names it
+    if len(m[1]) > 12:
+        raise DataFormatError(f"{where}: {text!r} is not below 10**12 s in magnitude")
     return float(text)
 
 

@@ -61,36 +61,40 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.nbest_n is not None and self.nbest_n < 1:
-            raise ValueError(f"nbest_n must be >= 1 or None, got {self.nbest_n}")
+        # bool is not a count, and a float only failed later, inside train
+        if type(self.steps) is not int or self.steps < 1:
+            raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
+        if self.nbest_n is not None and (type(self.nbest_n) is not int or self.nbest_n < 1):
+            raise ValueError(f"nbest_n must be an int >= 1 or None, got {self.nbest_n!r}")
         if not (math.isfinite(self.nll_weight) and self.nll_weight >= 0):
             raise ValueError(f"nll_weight must be finite and >= 0, got {self.nll_weight}")
 
 
-def _token_sort_key(t: Token):
-    return (0, "") if t.is_turn else (1, t.text)
+TextSeq = Tuple[Optional[str], ...]
 
 
-def _seq_sort_key(seq: TokenSeq):
-    return (len(seq), tuple(_token_sort_key(t) for t in seq))
+def _seq_sort_key(seq: TextSeq):
+    # A word is never empty, so "" puts the turn marker before every word.
+    return (len(seq), tuple("" if t is None else t for t in seq))
 
 
-def _single_edits(seq: TokenSeq, vocab: Sequence[str]):
-    """All sequences one token edit away: turn ins/del, word sub/ins/del."""
-    out = set()
+def _single_edits(seq: TextSeq, vocab: Sequence[str]):
+    """All text tuples one token edit away: turn ins/del, word sub/ins/del.
+
+    ``None`` is the turn marker, as in :func:`scdkit.alignment.align`.
+    """
     for pos in range(len(seq) + 1):
-        out.add(seq[:pos] + (SPEAKER_TURN,) + seq[pos:])
+        head, tail = seq[:pos], seq[pos:]
+        yield head + (None,) + tail
         for w in vocab:
-            out.add(seq[:pos] + (word(w),) + seq[pos:])
-    for pos, tok in enumerate(seq):
-        out.add(seq[:pos] + seq[pos + 1:])
-        if not tok.is_turn:
+            yield head + (w,) + tail
+    for pos, t in enumerate(seq):
+        head, tail = seq[:pos], seq[pos + 1:]
+        yield head + tail
+        if t is not None:
             for w in vocab:
-                if w != tok.text:
-                    out.add(seq[:pos] + (word(w),) + seq[pos + 1:])
-    return out
+                if w != t:
+                    yield head + (w,) + tail
 
 
 def enumerate_candidates(reference: Sequence[Token], edit_budget: int,
@@ -99,31 +103,40 @@ def enumerate_candidates(reference: Sequence[Token], edit_budget: int,
     """Candidate space of everything within ``edit_budget`` single-token edits.
 
     Deterministic for a given seed; capped at 256 candidates by seeded
-    uniform downsampling that never drops the reference.
+    uniform downsampling that never drops the reference.  The space is
+    enumerated as text tuples, and the candidates share one ``Token`` per
+    distinct text: the reference's own tokens, ``SPEAKER_TURN`` and one
+    ``word(w)`` per vocab word.
     """
     if not 1 <= edit_budget <= 3:
         raise ValueError(f"edit_budget must be in [1, 3], got {edit_budget}")
     if not vocab:
         raise ValueError("vocab must be non-empty")
     ref = as_token_seq(reference)
-    seen = {ref}
-    frontier = [ref]
+    tokens = {}
+    for w in vocab:
+        # None would read as the turn marker in a text tuple
+        if not isinstance(w, str):
+            raise TypeError(f"vocab entries must be str, got {type(w).__name__}")
+        tokens[w] = word(w)
+    words = tuple(tokens)
+    tokens.update((t.text, t) for t in ref)
+    tokens[None] = SPEAKER_TURN
+
+    ref_text = tuple(t.text for t in ref)
+    seen = {ref_text}
+    frontier = [ref_text]
     for _ in range(edit_budget):
-        nxt = []
-        for seq in frontier:
-            for edited in _single_edits(seq, vocab):
-                if edited not in seen:
-                    seen.add(edited)
-                    nxt.append(edited)
-        frontier = nxt
+        frontier = set().union(*(_single_edits(seq, words) for seq in frontier)) - seen
+        seen |= frontier
     candidates = sorted(seen, key=_seq_sort_key)
     if len(candidates) > CANDIDATE_CAP:
         rng = random.Random(seed)
-        others = [c for c in candidates if c != ref]
+        others = [c for c in candidates if c != ref_text]
         kept = rng.sample(others, CANDIDATE_CAP - 1)
-        candidates = sorted(kept + [ref], key=_seq_sort_key)
+        candidates = sorted(kept + [ref_text], key=_seq_sort_key)
     return HypothesisSpace(utterance_id=utterance_id, reference=ref,
-                           candidates=tuple(candidates))
+                           candidates=tuple(tuple(tokens[t] for t in c) for c in candidates))
 
 
 def st_vs_word_space() -> HypothesisSpace:

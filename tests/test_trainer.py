@@ -1,8 +1,10 @@
 import pytest
+from _trainer_oracle import token_enumerate_candidates
 
 from scdkit.risk import RiskConfig, RiskKind
 from scdkit.tokens import SPEAKER_TURN, word
 from scdkit.trainer import (
+    CANDIDATE_CAP,
     HypothesisSpace,
     TrainConfig,
     candidate_probs,
@@ -70,6 +72,65 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError):
             enumerate_candidates(ref, 1, [], seed=0)
 
+    @pytest.mark.parametrize("vocab", [[None], [1], ["a", None], [b"a"]])
+    def test_vocab_entries_must_be_str(self, vocab):
+        # in the text tuples None is the turn marker, so it must not pass as a word
+        with pytest.raises(TypeError, match="vocab entries must be str"):
+            enumerate_candidates((word("a"),), 1, vocab, seed=0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("x y", "contains whitespace"), ("<st>", "reserved turn marker"), ("", "non-empty"),
+    ])
+    def test_vocab_entries_must_be_words(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_candidates((word("a"),), 1, ["a", bad], seed=0)
+
+
+# name, reference, vocab: a turn-only and a single-token reference, and
+# vocabularies that overlap the reference words, below and above the cap
+ORACLE_CASES = [
+    ("turn-only", (SPEAKER_TURN,), ["a"]),
+    ("single-word", (word("a"),), ["a", "b"]),
+    ("overlap", (word("a"), SPEAKER_TURN, word("b")), ["b", "c", "a"]),
+    ("repeated", (word("a"), word("a"), SPEAKER_TURN, word("b"), SPEAKER_TURN), ["a", "c"]),
+]
+
+
+class TestTextEnumeration:
+    """The text-tuple enumerator against the earlier Token-tuple one."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7919])
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("name, ref, vocab", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_token_oracle(self, name, ref, vocab, budget, seed):
+        got = enumerate_candidates(ref, budget, vocab, seed)
+        want = token_enumerate_candidates(ref, budget, vocab, seed)
+        assert got.candidates == want.candidates
+        assert got.reference_index == want.reference_index
+
+    def test_oracle_cases_cover_both_sides_of_the_cap(self):
+        sizes = {len(token_enumerate_candidates(ref, budget, vocab, 0).candidates)
+                 for _, ref, vocab in ORACLE_CASES for budget in (1, 2, 3)}
+        assert min(sizes) < CANDIDATE_CAP == max(sizes)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_candidates_share_one_token_per_text(self, budget):
+        a = word("a")
+        ref = (a, SPEAKER_TURN, word("b"), a)
+        vocab = ["b", "c", "a", "c"]
+        space = enumerate_candidates(ref, budget, vocab, seed=0)
+        objects = {id(t): t for c in space.candidates for t in c}
+        texts = {t.text for t in objects.values()}
+        assert texts == {None, "a", "b", "c"}
+        assert len(objects) <= len(texts)
+        ref_tokens = {t.text: t for t in ref}
+        for c in space.candidates:
+            for t in c:
+                if t.is_turn:
+                    assert t is SPEAKER_TURN
+                elif t.text in ref_tokens:
+                    assert t is ref_tokens[t.text]
+
 
 class TestTrainDynamics:
     def test_st_vs_word_scenario(self):
@@ -136,6 +197,12 @@ class TestTrainDynamics:
             TrainConfig(steps=0)
         with pytest.raises(ValueError):
             TrainConfig(nbest_n=0)
+        for bad in (2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match="steps must be an int >= 1"):
+                TrainConfig(steps=bad)
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="nbest_n must be an int >= 1 or None"):
+                TrainConfig(nbest_n=bad)
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="nll_weight must be finite and >= 0"):
                 TrainConfig(nll_weight=bad)
