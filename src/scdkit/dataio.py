@@ -16,13 +16,12 @@ double holds exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 from .metrics import (
     Annotation,
@@ -41,19 +40,33 @@ logger = logging.getLogger(__name__)
 _SECONDS_RE = re.compile(r"^-?0*(\d+)(\.\d{1,3})?$")
 
 
-class DataFormatError(Exception):
-    """Malformed input; the message carries the file/line position."""
+class DataFormatError(ValueError):
+    """Malformed input; a reader's message carries the file/line position."""
 
 
-def parse_seconds(text: str, where: str) -> float:
+def _at(where: str, parse: Callable, text: str):
+    """``parse(text)``; a ValueError it raises becomes a DataFormatError
+    naming ``where``.  The only place that adds a position to a message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from exc
+
+
+def _records(text: str, source: str, parse_line: Callable) -> List:
+    """``parse_line`` of each non-blank line, its errors named ``<source>:<line>``."""
+    return [_at(f"{source}:{lineno}", parse_line, line)
+            for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def parse_seconds(text: str) -> float:
     m = _SECONDS_RE.match(text)
     if not m:
         raise DataFormatError(
-            f"{where}: {text!r} is not a decimal number of seconds "
-            "(at most 3 fractional digits)")
+            f"{text!r} is not a decimal number of seconds (at most 3 fractional digits)")
     # the bound of metrics._ms, checked on the text so that the error names it
     if len(m[1]) > 12:
-        raise DataFormatError(f"{where}: {text!r} is not below 10**12 s in magnitude")
+        raise DataFormatError(f"{text!r} is not below 10**12 s in magnitude")
     return float(text)
 
 
@@ -63,19 +76,13 @@ def format_seconds(value: float) -> str:
     return s[:-1] if s.endswith("0") else s
 
 
-def _lines(stream: Union[str, io.TextIOBase, Iterable[str]]) -> Iterable[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return stream
-
-
-def _json_object(text: str, where: str) -> Dict:
+def _json_object(text: str) -> Dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{where}: invalid JSON: {exc}") from exc
+        raise DataFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise DataFormatError(f"{where}: expected a JSON object")
+        raise DataFormatError("expected a JSON object")
     return obj
 
 
@@ -101,39 +108,37 @@ def tokenize_transcript(text: str) -> TokenSeq:
 # ---------------------------------------------------------------------------
 # RTTM
 
-def parse_rttm(stream: Union[str, io.TextIOBase, Iterable[str]],
-               source: str = "<rttm>") -> List[Annotation]:
+def _rttm_line(line: str) -> Optional[Tuple[str, SpeakerSegment]]:
+    """(file id, segment) of a SPEAKER line; None for any other record type."""
+    fields = line.split()
+    if fields[0] != "SPEAKER":
+        return None
+    if len(fields) != 10:
+        raise DataFormatError(f"expected 10 fields, got {len(fields)}")
+    try:
+        int(fields[2])
+    except ValueError:
+        raise DataFormatError(f"channel must be an integer, got {fields[2]!r}")
+    onset = parse_seconds(fields[3])
+    duration = parse_seconds(fields[4])
+    if onset < 0:
+        raise DataFormatError(f"negative onset {fields[3]}")
+    if duration <= 0:
+        raise DataFormatError(f"segment duration must be positive, got {fields[4]}")
+    return fields[1], SpeakerSegment(fields[7], onset, round(onset + duration, 3))
+
+
+def parse_rttm(text: str, source: str = "<rttm>") -> List[Annotation]:
     """Parse SPEAKER records grouped by file id, in order of first appearance.
 
     The channel must be an integer but is not kept.
     """
+    records = _records(text, source, _rttm_line)
     segments: Dict[str, List[SpeakerSegment]] = {}
-    ignored = 0
-    for lineno, line in enumerate(_lines(stream), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if fields[0] != "SPEAKER":
-            ignored += 1
-            continue
-        where = f"{source}:{lineno}"
-        if len(fields) != 10:
-            raise DataFormatError(f"{where}: expected 10 fields, got {len(fields)}")
-        try:
-            int(fields[2])
-        except ValueError:
-            raise DataFormatError(f"{where}: channel must be an integer, got {fields[2]!r}")
-        onset = parse_seconds(fields[3], where)
-        duration = parse_seconds(fields[4], where)
-        if onset < 0:
-            raise DataFormatError(f"{where}: negative onset {fields[3]}")
-        if duration <= 0:
-            raise DataFormatError(f"{where}: segment duration must be positive, got {fields[4]}")
-        try:
-            segment = SpeakerSegment(fields[7], onset, round(onset + duration, 3))
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from exc
-        segments.setdefault(fields[1], []).append(segment)
+    for record in records:
+        if record is not None:
+            segments.setdefault(record[0], []).append(record[1])
+    ignored = records.count(None)
     if ignored:
         logger.warning("%s: ignored %d non-SPEAKER lines", source, ignored)
     if not segments:
@@ -155,30 +160,23 @@ def serialize_rttm(annotations: Sequence[Annotation]) -> str:
 # ---------------------------------------------------------------------------
 # change stamps
 
-def parse_change_stamps(stream: Union[str, io.TextIOBase, Iterable[str]],
-                        source: str = "<stamps>") -> List[ChangeHypothesis]:
-    out: List[ChangeHypothesis] = []
+def parse_change_stamps(text: str, source: str = "<stamps>") -> List[ChangeHypothesis]:
     seen = set()
-    for lineno, line in enumerate(_lines(stream), start=1):
-        stripped = line.rstrip("\n")
-        if not stripped.strip():
-            continue
-        where = f"{source}:{lineno}"
-        if "\t" not in stripped:
-            raise DataFormatError(f"{where}: expected '<recording_id><TAB><t1>,<t2>,...'")
-        rec_id, _, rest = stripped.partition("\t")
+
+    def parse_line(line: str) -> ChangeHypothesis:
+        if "\t" not in line:
+            raise DataFormatError("expected '<recording_id><TAB><t1>,<t2>,...'")
+        rec_id, _, rest = line.partition("\t")
         rec_id = rec_id.strip()
         if not rec_id:
-            raise DataFormatError(f"{where}: empty recording id")
+            raise DataFormatError("empty recording id")
         if rec_id in seen:
-            raise DataFormatError(f"{where}: duplicate recording id {rec_id!r}")
+            raise DataFormatError(f"duplicate recording id {rec_id!r}")
         seen.add(rec_id)
         rest = rest.strip()
-        stamps = tuple(parse_seconds(tok, where) for tok in rest.split(",")) if rest else ()
-        try:
-            out.append(ChangeHypothesis(rec_id, stamps))
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from exc
+        return ChangeHypothesis(rec_id, tuple(map(parse_seconds, rest.split(","))) if rest else ())
+
+    out = _records(text, source, parse_line)
     if not out:
         raise DataFormatError(f"{source}: no records found")
     return out
@@ -195,49 +193,37 @@ def serialize_change_stamps(hypotheses: Sequence[ChangeHypothesis]) -> str:
 # ---------------------------------------------------------------------------
 # N-best lists
 
-def parse_nbest(stream: Union[str, io.TextIOBase, Iterable[str]],
-                source: str = "<nbest>") -> List[NBest]:
-    out: List[NBest] = []
-    for lineno, line in enumerate(_lines(stream), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        where = f"{source}:{lineno}"
-        rec = _json_object(stripped, where)
-        try:
-            utt_id = rec["utterance_id"]
-            reference = rec["reference"]
-            hyp_list = rec["hypotheses"]
-        except KeyError as exc:
-            raise DataFormatError(f"{where}: missing field {exc}") from exc
-        if not isinstance(utt_id, str) or not utt_id:
-            raise DataFormatError(f"{where}: utterance_id must be a non-empty string")
-        if not isinstance(reference, str):
-            raise DataFormatError(f"{where}: reference must be a string")
-        if not isinstance(hyp_list, list) or not hyp_list:
-            raise DataFormatError(f"{where}: hypotheses must be a non-empty list")
-        try:
-            ref_tokens = tokenize_transcript(reference)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{where}: {exc}") from exc
-        hyps = []
-        for h in hyp_list:
-            if not isinstance(h, dict) or "text" not in h or "log_score" not in h:
-                raise DataFormatError(f"{where}: each hypothesis needs text and log_score")
-            score = h["log_score"]
-            if not _is_number(score) or not math.isfinite(score):
-                raise DataFormatError(f"{where}: log_score must be a finite number, got {score!r}")
-            if not isinstance(h["text"], str):
-                raise DataFormatError(f"{where}: hypothesis text must be a string")
-            try:
-                hyp_tokens = tokenize_transcript(h["text"])
-            except DataFormatError as exc:
-                raise DataFormatError(f"{where}: {exc}") from exc
-            hyps.append(ScoredHypothesis(hyp_tokens, float(score)))
-        try:
-            out.append(NBest(utt_id, ref_tokens, tuple(hyps)))
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from exc
+def _nbest_line(line: str) -> NBest:
+    # str.strip, not json.loads, decides which whitespace may surround a record
+    rec = _json_object(line.strip())
+    try:
+        utt_id = rec["utterance_id"]
+        reference = rec["reference"]
+        hyp_list = rec["hypotheses"]
+    except KeyError as exc:
+        raise DataFormatError(f"missing field {exc}") from exc
+    if not isinstance(utt_id, str) or not utt_id:
+        raise DataFormatError("utterance_id must be a non-empty string")
+    if not isinstance(reference, str):
+        raise DataFormatError("reference must be a string")
+    if not isinstance(hyp_list, list) or not hyp_list:
+        raise DataFormatError("hypotheses must be a non-empty list")
+    ref_tokens = tokenize_transcript(reference)
+    hyps = []
+    for h in hyp_list:
+        if not isinstance(h, dict) or "text" not in h or "log_score" not in h:
+            raise DataFormatError("each hypothesis needs text and log_score")
+        score = h["log_score"]
+        if not _is_number(score) or not math.isfinite(score):
+            raise DataFormatError(f"log_score must be a finite number, got {score!r}")
+        if not isinstance(h["text"], str):
+            raise DataFormatError("hypothesis text must be a string")
+        hyps.append(ScoredHypothesis(tokenize_transcript(h["text"]), float(score)))
+    return NBest(utt_id, ref_tokens, tuple(hyps))
+
+
+def parse_nbest(text: str, source: str = "<nbest>") -> List[NBest]:
+    out = _records(text, source, _nbest_line)
     if not out:
         raise DataFormatError(f"{source}: no records found")
     return out
@@ -412,15 +398,15 @@ _FIELD_CHECKS = {cls: tuple((name, *_VALUE_CHECKS[hint])
                  for cls in (*_REPORT_CLASSES.values(), TrainStep)}
 
 
-def _from_json_object(cls, obj: Dict, where: str):
+def _from_json_object(cls, obj: Dict):
     """Build ``cls`` from its fields in ``obj``; JSON lists become tuples."""
     values = {}
     for name, valid, expected in _FIELD_CHECKS[cls]:
         if name not in obj:
-            raise DataFormatError(f"{where}: missing field {name!r}")
+            raise DataFormatError(f"missing field {name!r}")
         v = obj[name]
         if not valid(v):
-            raise DataFormatError(f"{where}: field {name!r} must be {expected}, got {v!r}")
+            raise DataFormatError(f"field {name!r} must be {expected}, got {v!r}")
         values[name] = tuple(v) if isinstance(v, list) else v
     return cls(**values)
 
@@ -443,13 +429,17 @@ def write_report(report, format: str = TABLE) -> str:
     return _table(_TABLE_ROWS[type(report)](report))
 
 
-def read_report(text: str):
-    """Inverse of ``write_report(..., format=MACHINE)``."""
-    obj = _json_object(text, "report")
+def _report(text: str):
+    obj = _json_object(text)
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _REPORT_CLASSES:
-        raise DataFormatError(f"report: unknown report kind {kind!r}")
-    return _from_json_object(_REPORT_CLASSES[kind], obj, "report")
+        raise DataFormatError(f"unknown report kind {kind!r}")
+    return _from_json_object(_REPORT_CLASSES[kind], obj)
+
+
+def read_report(text: str):
+    """Inverse of ``write_report(..., format=MACHINE)``."""
+    return _at("report", _report, text)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +457,9 @@ def write_trace(trace: TrainTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_trace_records(stream: Union[str, io.TextIOBase, Iterable[str]],
-                       source: str = "<trace>") -> List[TrainStep]:
-    records: List[TrainStep] = []
-    for lineno, line in enumerate(_lines(stream), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        where = f"{source}:{lineno}"
-        records.append(_from_json_object(TrainStep, _json_object(stripped, where), where))
-    return records
+def _trace_line(line: str) -> TrainStep:
+    return _from_json_object(TrainStep, _json_object(line.strip()))
+
+
+def read_trace_records(text: str, source: str = "<trace>") -> List[TrainStep]:
+    return _records(text, source, _trace_line)

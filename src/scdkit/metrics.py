@@ -54,6 +54,12 @@ def _ms(seconds: float, what: str) -> int:
                      f"3 decimal places, got {seconds!r}")
 
 
+def _check_id(what: str, value: str) -> None:
+    # one whitespace-free field, so that an RTTM line written with it parses back
+    if not isinstance(value, str) or value.split() != [value]:
+        raise ValueError(f"{what} must be non-empty and contain no whitespace, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpeakerSegment:
     speaker: str
@@ -63,8 +69,7 @@ class SpeakerSegment:
     span: Span = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.speaker:
-            raise ValueError("speaker id must be non-empty")
+        _check_id("speaker id", self.speaker)
         start_ms, end_ms = span = tuple(
             _ms(t, f"segment [{self.start}, {self.end}] of {self.speaker!r}")
             for t in (self.start, self.end))
@@ -82,7 +87,11 @@ class Annotation:
     segments: Tuple[SpeakerSegment, ...]
 
     def __post_init__(self) -> None:
+        _check_id("recording id", self.recording_id)
         object.__setattr__(self, "segments", tuple(self.segments))
+        for s in self.segments:
+            if not isinstance(s, SpeakerSegment):
+                raise TypeError(f"expected SpeakerSegment, got {type(s).__name__}")
         if not self.segments:
             raise ValueError(f"annotation {self.recording_id!r} has no segments")
 

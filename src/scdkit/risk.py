@@ -9,11 +9,11 @@ regularizer; no sequence model lives in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .alignment import AlignmentCosts, ErrorCounts, align_counts
+from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, align_counts
 from .tokens import Token, TokenSeq, as_token_seq
 
 # exp(log_score) above this is not a probability
@@ -60,7 +60,7 @@ class RiskConfig:
     alpha: float = 1.0
     beta: float = 10.0
     gamma: float = 10.0
-    costs: AlignmentCosts = field(default_factory=lambda: AlignmentCosts.from_k("1.1"))
+    costs: AlignmentCosts = DEFAULT_COSTS
     normalize_scores: bool = True
     risk_kind: RiskKind = RiskKind.SCD_WEIGHTED
 
@@ -69,6 +69,8 @@ class RiskConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not isinstance(self.costs, AlignmentCosts):
+            raise TypeError(f"costs must be an AlignmentCosts, got {type(self.costs).__name__}")
         # a plain string compares equal to its member but fails the `is` test
         object.__setattr__(self, "risk_kind", RiskKind(self.risk_kind))
 

@@ -35,7 +35,7 @@ class HypothesisSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reference", as_token_seq(self.reference))
-        object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
+        object.__setattr__(self, "candidates", tuple(map(as_token_seq, self.candidates)))
         if not self.reference:
             raise ValueError(f"reference of {self.utterance_id!r} is empty")
         if len(self.candidates) < 2:
@@ -108,8 +108,9 @@ def enumerate_candidates(reference: Sequence[Token], edit_budget: int,
     distinct text: the reference's own tokens, ``SPEAKER_TURN`` and one
     ``word(w)`` per vocab word.
     """
-    if not 1 <= edit_budget <= 3:
-        raise ValueError(f"edit_budget must be in [1, 3], got {edit_budget}")
+    # bool is not a count
+    if type(edit_budget) is not int or not 1 <= edit_budget <= 3:
+        raise ValueError(f"edit_budget must be an int in [1, 3], got {edit_budget!r}")
     if not vocab:
         raise ValueError("vocab must be non-empty")
     ref = as_token_seq(reference)

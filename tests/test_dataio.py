@@ -40,30 +40,30 @@ from scdkit.trainer import TrainConfig, st_vs_word_space, train
 
 class TestSeconds:
     def test_parse_and_format(self):
-        assert parse_seconds("10.203", "t") == 10.203
-        assert parse_seconds("0.5", "t") == 0.5
+        assert parse_seconds("10.203") == 10.203
+        assert parse_seconds("0.5") == 0.5
         assert format_seconds(10.5) == "10.50"
         assert format_seconds(10.203) == "10.203"
         assert format_seconds(7.0) == "7.00"
 
     def test_rejects_sub_millisecond(self):
         with pytest.raises(DataFormatError):
-            parse_seconds("1.0001", "t")
+            parse_seconds("1.0001")
 
     def test_rejects_garbage(self):
         with pytest.raises(DataFormatError):
-            parse_seconds("10,5", "t")
+            parse_seconds("10,5")
 
     def test_leading_zeros_do_not_count_toward_the_bound(self):
-        assert parse_seconds("0000000000000001.5", "t") == 1.5
-        assert parse_seconds("-000999999999999.999", "t") == -999999999999.999
+        assert parse_seconds("0000000000000001.5") == 1.5
+        assert parse_seconds("-000999999999999.999") == -999999999999.999
 
     @pytest.mark.parametrize("text", ["9007199254740.993", "1000000000000", "-1000000000000.0"])
     def test_bound_error_names_the_text(self, text):
         # the double of 9007199254740.993 is 9007199254740.992
         with pytest.raises(DataFormatError) as info:
-            parse_seconds(text, "f.rttm:3")
-        assert str(info.value) == f"f.rttm:3: {text!r} is not below 10**12 s in magnitude"
+            parse_seconds(text)
+        assert str(info.value) == f"{text!r} is not below 10**12 s in magnitude"
 
 
 class TestTokenize:
@@ -280,6 +280,13 @@ class TestNBestFile:
                         '"hypotheses": [{"text": "a", "log_score": true}]}', source="n.jsonl")
         assert str(info.value) == "n.jsonl:1: log_score must be a finite number, got True"
 
+    def test_tokenizer_error_names_line(self):
+        with pytest.raises(DataFormatError) as info:
+            parse_nbest('\n{"utterance_id": "u", "reference": "a", '
+                        '"hypotheses": [{"text": "a <ST>", "log_score": -1}]}', source="n.jsonl")
+        assert str(info.value) == ("n.jsonl:2: word '<ST>' case-folds to the reserved "
+                                   "turn marker '<st>'")
+
     def test_non_string_text_rejected(self):
         with pytest.raises(DataFormatError) as info:
             parse_nbest('{"utterance_id": "u", "reference": "a", '
@@ -459,3 +466,19 @@ class TestTraceIO:
     def test_malformed_record_is_data_format_error(self, text, message):
         with pytest.raises(DataFormatError, match=message):
             read_trace_records(text)
+
+
+class TestReaders:
+    def test_data_format_error_is_a_value_error(self):
+        assert issubclass(DataFormatError, ValueError)
+
+    @pytest.mark.parametrize("read, record", [
+        (parse_rttm, "SPEAKER rec1 1 0.00 10.00 <NA> <NA> A <NA> <NA>"),
+        (parse_change_stamps, "rec1\t1.50,2.25"),
+        (parse_nbest, '{"utterance_id": "u", "reference": "a", '
+                      '"hypotheses": [{"text": "a", "log_score": 0}]}'),
+        (read_trace_records, _STEP.strip()),
+    ], ids=["rttm", "stamps", "nbest", "trace"])
+    def test_whitespace_only_lines_are_skipped(self, read, record):
+        # str.strip whitespace, which includes U+00A0, makes a line blank
+        assert read(f" \t\u00a0\n{record}\n\n") == read(record)

@@ -411,6 +411,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Annotation("r", ())
 
+    def test_annotation_entries_must_be_segments(self):
+        with pytest.raises(TypeError, match="expected SpeakerSegment, got str"):
+            Annotation("r", "abc")
+
+    @pytest.mark.parametrize("bad", ["", "A B", " A", "A\t", "A\u00a0B"])
+    def test_ids_are_one_rttm_field(self, bad):
+        # serialize_rttm writes the ids as single fields, and parse_rttm splits on whitespace
+        rule = "must be non-empty and contain no whitespace"
+        with pytest.raises(ValueError, match=f"^speaker id {rule}"):
+            SpeakerSegment(bad, 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"^recording id {rule}"):
+            Annotation(bad, (SpeakerSegment("A", 0.0, 1.0),))
+
     def test_hypothesis_sorts_and_dedups(self):
         h = ChangeHypothesis("r", (3.0, 1.0, 3.0, 2.0))
         assert h.timestamps == (1.0, 2.0, 3.0)

@@ -145,6 +145,11 @@ class TestExpectedRisk:
         with pytest.raises(ValueError):
             RiskConfig(risk_kind="no_such_kind")
 
+    def test_costs_must_be_alignment_costs(self):
+        assert RiskConfig().costs is alignment.DEFAULT_COSTS
+        with pytest.raises(TypeError, match="costs must be an AlignmentCosts, got str"):
+            RiskConfig(costs="1.1")
+
 
 class TestBatchLoss:
     def test_all_correct_batch(self):

@@ -33,6 +33,11 @@ class TestHypothesisSpace:
         with pytest.raises(ValueError):
             HypothesisSpace("u", ref, (ref,))
 
+    def test_candidates_must_be_tokens(self):
+        ref = (word("a"),)
+        with pytest.raises(TypeError, match="expected Token, got str"):
+            HypothesisSpace("u", ref, (ref, ("x",)))
+
     @pytest.mark.parametrize("kind", list(RiskKind))
     def test_empty_reference_rejected(self, kind):
         # rejected up front, whichever risk kind training would use
@@ -71,6 +76,11 @@ class TestEnumerateCandidates:
             enumerate_candidates(ref, 4, ["a"], seed=0)
         with pytest.raises(ValueError):
             enumerate_candidates(ref, 1, [], seed=0)
+
+    @pytest.mark.parametrize("budget", [True, 1.5, 2.0])
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(ValueError, match=r"edit_budget must be an int in \[1, 3\]"):
+            enumerate_candidates((word("a"),), budget, ["a"], seed=0)
 
     @pytest.mark.parametrize("vocab", [[None], [1], ["a", None], [b"a"]])
     def test_vocab_entries_must_be_str(self, vocab):
