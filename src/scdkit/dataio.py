@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
@@ -202,8 +201,6 @@ def _nbest_line(line: str) -> NBest:
         hyp_list = rec["hypotheses"]
     except KeyError as exc:
         raise DataFormatError(f"missing field {exc}") from exc
-    if not isinstance(utt_id, str) or not utt_id:
-        raise DataFormatError("utterance_id must be a non-empty string")
     if not isinstance(reference, str):
         raise DataFormatError("reference must be a string")
     if not isinstance(hyp_list, list) or not hyp_list:
@@ -213,12 +210,9 @@ def _nbest_line(line: str) -> NBest:
     for h in hyp_list:
         if not isinstance(h, dict) or "text" not in h or "log_score" not in h:
             raise DataFormatError("each hypothesis needs text and log_score")
-        score = h["log_score"]
-        if not _is_number(score) or not math.isfinite(score):
-            raise DataFormatError(f"log_score must be a finite number, got {score!r}")
         if not isinstance(h["text"], str):
             raise DataFormatError("hypothesis text must be a string")
-        hyps.append(ScoredHypothesis(tokenize_transcript(h["text"]), float(score)))
+        hyps.append(ScoredHypothesis(tokenize_transcript(h["text"]), h["log_score"]))
     return NBest(utt_id, ref_tokens, tuple(hyps))
 
 

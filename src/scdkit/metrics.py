@@ -1,12 +1,13 @@
 """Interval-based speaker-change metrics: precision/recall and purity/coverage.
 
-Speaker changes are scored as time intervals, not points.  From the
-reference speaker annotation we derive the mono-speaker ranges (time
-covered by exactly one speaker) and treat their complement within the
-annotated span as the change intervals: multi-speaker overlap, gaps, and
-the zero-length instants where one speaker ends exactly as another
-begins.  A prediction is correct when its collar-widened window touches
-any change interval; a change interval is recalled when at least one
+Speaker changes are scored as time intervals, not points.  One sweep
+over the reference speaker annotation splits the annotated span into
+change intervals, the time not covered by exactly one speaker
+(multi-speaker overlap, gaps, and the zero-length instants where one
+speaker ends exactly as another begins), and their complement, the
+mono-speaker ranges, which a zero-length change instant splits in two.
+A prediction is correct when its collar-widened window touches any
+change interval; a change interval is recalled when at least one
 prediction matches it.
 
 Purity and coverage score the mono-speaker side: each reference segment
@@ -27,7 +28,6 @@ is integer arithmetic, and reports divide by 1000 once.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -44,11 +44,13 @@ def _ms(seconds: float, what: str) -> int:
     magnitude.  Below that bound a decimal with at most 3 fractional digits
     has at most 15 significant digits, which a double holds exactly, so the
     milliseconds of every accepted value are the ones its text spelled.
+    The bound is checked first: it is False for NaN and the infinities, and
+    an int too large for a float never reaches a float conversion.
     """
     scaled = seconds * 1000
-    if math.isfinite(scaled):
+    if -1e15 < scaled < 1e15:
         ms = round(scaled)
-        if ms / 1000 == seconds and abs(ms) < 10**15:
+        if ms / 1000 == seconds:
             return ms
     raise ValueError(f"{what} must be finite, below 10**12 s in magnitude and with at most "
                      f"3 decimal places, got {seconds!r}")
@@ -112,6 +114,7 @@ class ChangeHypothesis:
     stamps_ms: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_id("recording id", self.recording_id)
         stamps = tuple(sorted(set(self.timestamps)))
         object.__setattr__(self, "timestamps", stamps)
         object.__setattr__(self, "stamps_ms", tuple(
@@ -230,19 +233,19 @@ def _scored_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
     return speaker_coverage(annotation, gap_ms)
 
 
-def _coverage_pieces(coverage: Coverage) -> List[Tuple[int, int, int]]:
-    """Elementary (start_ms, end_ms, n_speakers) pieces over the annotated span.
-
-    Pieces alternate between boundary points (zero length) and the open
-    gaps between consecutive boundaries, in time order.  Within each piece
-    the number of covering speakers is constant, and closed-interval
-    endpoint coverage is accounted for by the point pieces.
+def _change_runs(coverage: Coverage) -> Tuple[Span, Tuple[Span, ...]]:
+    """The annotated span and its change intervals, in ms.
 
     One sweep over the sorted boundaries keeps a running count of open
     spans.  Each speaker's coverage is a union, so its spans neither
     overlap nor touch and the count is the number of speakers: at a
     boundary it is the spans still open plus those starting there, and on
-    the following gap it loses those ending there.
+    the open gap after it (none after the last) it loses those ending
+    there.  A change interval opens at the first boundary whose point or
+    following gap does not have exactly one speaker, and closes at the
+    first boundary from there whose following gap has exactly one: the
+    point of a boundary inside a change interval has exactly one speaker
+    only when that gap does too.
     """
     starts: Dict[int, int] = {}
     ends: Dict[int, int] = {}
@@ -251,46 +254,37 @@ def _coverage_pieces(coverage: Coverage) -> List[Tuple[int, int, int]]:
             starts[start] = starts.get(start, 0) + 1
             ends[end] = ends.get(end, 0) + 1
     bounds = sorted(starts.keys() | ends.keys())
-    pieces: List[Tuple[int, int, int]] = []
-    active = 0
-    for idx, b in enumerate(bounds):
-        at_point = active + starts.get(b, 0)
-        pieces.append((b, b, at_point))
-        active = at_point - ends.get(b, 0)
-        if idx + 1 < len(bounds):
-            pieces.append((b, bounds[idx + 1], active))
-    return pieces
-
-
-def _runs(pieces: Sequence[Tuple[int, int, int]], keep) -> Tuple[Span, ...]:
+    t_max = bounds[-1]
     runs: List[Span] = []
     run_start: Optional[int] = None
-    run_end = 0
-    for start, end, count in pieces:
-        if keep(count):
-            if run_start is None:
-                run_start = start
-            run_end = end
-        elif run_start is not None:
-            runs.append((run_start, run_end))
+    active = 0
+    for b in bounds:
+        at_point = active + starts.get(b, 0)
+        active = at_point - ends.get(b, 0)
+        gap_mono = active == 1 or b == t_max
+        if run_start is None and (at_point != 1 or not gap_mono):
+            run_start = b
+        if run_start is not None and gap_mono:
+            runs.append((run_start, b))
             run_start = None
-    if run_start is not None:
-        runs.append((run_start, run_end))
-    return _union(runs)
+    return (bounds[0], t_max), tuple(runs)
 
 
 def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:
-    """``(start_ms, end_ms)`` spans of the annotated span covered by exactly one speaker."""
-    return _runs(_coverage_pieces(speaker_coverage(annotation)), lambda c: c == 1)
+    """``(start_ms, end_ms)`` spans of the annotated span covered by exactly one
+    speaker: the complement of the change intervals, split at zero-length ones."""
+    (t_min, t_max), intervals = _change_runs(speaker_coverage(annotation))
+    bounds = [t_min, *(t for span in intervals for t in span), t_max]
+    return tuple((a, b) for a, b in zip(bounds[::2], bounds[1::2]) if b > a)
 
 
 def change_intervals(annotation: Annotation) -> Tuple[Span, ...]:
-    """Complement of the mono-speaker ranges within the annotated span, in ms.
+    """Spans of the annotated span not covered by exactly one speaker, in ms.
 
     Includes multi-speaker overlap, unannotated gaps, and zero-length
     switching points where one speaker ends exactly as another begins.
     """
-    return _runs(_coverage_pieces(speaker_coverage(annotation)), lambda c: c != 1)
+    return _change_runs(speaker_coverage(annotation))[1]
 
 
 def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
@@ -305,9 +299,7 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     collar_ms = _ms(collar, "collar")
     if collar_ms < 0:
         raise ValueError(f"collar must be >= 0, got {collar}")
-    pieces = _coverage_pieces(coverage)
-    intervals = _runs(pieces, lambda c: c != 1)
-    t_min, t_max = pieces[0][0], pieces[-1][1]
+    (t_min, t_max), intervals = _change_runs(coverage)
     kept = [t for t in hypothesis.stamps_ms if t_min <= t <= t_max]
 
     # The change intervals are sorted and disjoint, so those touching the

@@ -20,6 +20,15 @@ from .tokens import Token, TokenSeq, as_token_seq
 _MAX_LOG_PROB = math.log1p(1e-9)
 
 
+def _finite(v: float) -> bool:
+    """``math.isfinite``, but False for an int too large for a float, on
+    which ``math.isfinite`` raises OverflowError."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class RiskKind(str, Enum):
     # weighted turn-aware risk, normalized by reference length
     SCD_WEIGHTED = "scd_weighted"
@@ -34,8 +43,11 @@ class ScoredHypothesis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", as_token_seq(self.tokens))
-        if not math.isfinite(self.log_score):
-            raise ValueError(f"log_score must be finite, got {self.log_score}")
+        score = self.log_score
+        if not (isinstance(score, (int, float)) and not isinstance(score, bool)
+                and _finite(score)):
+            raise ValueError(f"log_score must be a finite number, got {score!r}")
+        object.__setattr__(self, "log_score", float(score))
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,8 @@ class NBest:
     hypotheses: Tuple[ScoredHypothesis, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.utterance_id, str) or not self.utterance_id:
+            raise ValueError("utterance_id must be a non-empty string")
         object.__setattr__(self, "reference", as_token_seq(self.reference))
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         if not self.reference:
@@ -67,7 +81,7 @@ class RiskConfig:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if not (_finite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if not isinstance(self.costs, AlignmentCosts):
             raise TypeError(f"costs must be an AlignmentCosts, got {type(self.costs).__name__}")
@@ -193,7 +207,7 @@ def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
     and a total that overflows to a non-finite value raises ``ValueError``.
     """
     for name, v in (("nll_weight", nll_weight), ("nll", nll)):
-        if not (math.isfinite(v) and v >= 0):
+        if not (_finite(v) and v >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {v}")
     risks: List[float] = []
     probs: List[float] = []

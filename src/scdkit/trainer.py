@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataio import TrainStep, TrainTrace
-from .risk import RiskConfig, hypothesis_errors
+from .risk import RiskConfig, _finite, hypothesis_errors
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
 CANDIDATE_CAP = 256
@@ -59,14 +59,14 @@ class TrainConfig:
     risk: RiskConfig = field(default_factory=RiskConfig)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (_finite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         # bool is not a count, and a float only failed later, inside train
         if type(self.steps) is not int or self.steps < 1:
             raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
         if self.nbest_n is not None and (type(self.nbest_n) is not int or self.nbest_n < 1):
             raise ValueError(f"nbest_n must be an int >= 1 or None, got {self.nbest_n!r}")
-        if not (math.isfinite(self.nll_weight) and self.nll_weight >= 0):
+        if not (_finite(self.nll_weight) and self.nll_weight >= 0):
             raise ValueError(f"nll_weight must be finite and >= 0, got {self.nll_weight}")
 
 

@@ -12,7 +12,7 @@ Like the sweeps, they work on closed ``(start_ms, end_ms)`` spans in
 integer milliseconds.
 """
 
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from scdkit.metrics import (
     Annotation,
@@ -22,7 +22,6 @@ from scdkit.metrics import (
     Span,
     SpeakerSegment,
     _ms,
-    _runs,
     f1_score,
     hypothesis_segments,
     reference_units,
@@ -73,6 +72,23 @@ def coverage_pieces(annotation: Annotation) -> List[Tuple[int, int, int]]:
             nxt = bounds[idx + 1]
             pieces.append((b, nxt, count_on_open(b, nxt)))
     return pieces
+
+
+def _runs(pieces: Sequence[Tuple[int, int, int]], keep) -> Tuple[Span, ...]:
+    runs: List[Span] = []
+    run_start: Optional[int] = None
+    run_end = 0
+    for start, end, count in pieces:
+        if keep(count):
+            if run_start is None:
+                run_start = start
+            run_end = end
+        elif run_start is not None:
+            runs.append((run_start, run_end))
+            run_start = None
+    if run_start is not None:
+        runs.append((run_start, run_end))
+    return tuple(runs)
 
 
 def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:

@@ -245,6 +245,16 @@ def test_vocab_words_are_case_folded(tmp_path):
     assert proc.stderr == "error: word token text is the reserved turn marker '<st>'\n"
 
 
+def test_log_score_too_large_for_a_float_is_a_data_error_exit_2(tmp_path):
+    nbest = tmp_path / "n.jsonl"
+    score = "1" + "0" * 400
+    nbest.write_text('{"utterance_id": "u", "reference": "a", '
+                     f'"hypotheses": [{{"text": "a", "log_score": {score}}}]}}\n')
+    proc = run_cli("risk", "--nbest", str(nbest))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {nbest}:1: log_score must be a finite number, got {score}\n"
+
+
 def test_malformed_rttm_exit_2(tmp_path):
     bad = tmp_path / "bad.rttm"
     bad.write_text("SPEAKER rec 1 0.00 1.00 <NA> <NA>\n")

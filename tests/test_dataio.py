@@ -280,6 +280,13 @@ class TestNBestFile:
                         '"hypotheses": [{"text": "a", "log_score": true}]}', source="n.jsonl")
         assert str(info.value) == "n.jsonl:1: log_score must be a finite number, got True"
 
+    @pytest.mark.parametrize("uid", ['""', "7"])
+    def test_utterance_id_rule_names_line(self, uid):
+        with pytest.raises(DataFormatError) as info:
+            parse_nbest(f'{{"utterance_id": {uid}, "reference": "a", '
+                        '"hypotheses": [{"text": "a", "log_score": 0}]}', source="n.jsonl")
+        assert str(info.value) == "n.jsonl:1: utterance_id must be a non-empty string"
+
     def test_tokenizer_error_names_line(self):
         with pytest.raises(DataFormatError) as info:
             parse_nbest('\n{"utterance_id": "u", "reference": "a", '

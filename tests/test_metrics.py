@@ -74,6 +74,12 @@ class TestMonoSpeakerRanges:
         u = mono_speaker_ranges(ann("r", ("A", 0.0, 5.0), ("A", 3.0, 8.0)))
         assert u == ((0, 8000),)
 
+    def test_touching_turns_split_at_the_change_instant(self):
+        # the instant at 5 s is covered by both speakers, so it is not mono time
+        a = ann("r", ("A", 0.0, 5.0), ("B", 5.0, 10.0))
+        assert mono_speaker_ranges(a) == ((0, 5000), (5000, 10000))
+        assert change_intervals(a) == ((5000, 5000),)
+
 
 class TestChangeIntervals:
     def test_three_speaker_layout(self):
@@ -120,6 +126,13 @@ class TestChangeIntervals:
         assert _union(u + ubar) == ((round(a.t_min * 1000), round(a.t_max * 1000)),)
         cross = sum(overlap(x, y) for x in u for y in ubar)
         assert cross == 0
+        # together they tile the span, also when every turn touches the next
+        for tiled in (a, random_partition_annotation(random.Random(seed))):
+            parts = sorted(mono_speaker_ranges(tiled) + change_intervals(tiled))
+            assert parts[0][0] == round(tiled.t_min * 1000)
+            assert parts[-1][1] == round(tiled.t_max * 1000)
+            # each part starts where the one before ends
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(parts, parts[1:]))
 
 
 class TestScoreChanges:
@@ -377,6 +390,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"below 10\*\*12 s in magnitude"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: SpeakerSegment("A", 10**400, 10**400 + 1),
+        lambda: SpeakerSegment("A", 0, 10**400),
+        lambda: ChangeHypothesis("r", (10**400,)),
+        lambda: score_changes(FIG1, ChangeHypothesis("fig1", ()), collar=10**400),
+        lambda: score_changes(FIG1, ChangeHypothesis("fig1", ()), gap_merge=10**400),
+        lambda: purity_coverage(FIG1, ChangeHypothesis("fig1", ()), gap_merge=-10**400),
+        lambda: segment_longform(FIG1, 10**400),
+    ], ids=["start", "end", "stamp", "collar", "gap_merge", "purity_gap_merge", "target"])
+    def test_int_too_large_for_a_float_is_a_value_error(self, make):
+        # math.isfinite would raise OverflowError on such an int
+        with pytest.raises(ValueError, match=r"below 10\*\*12 s in magnitude"):
+            make()
+
     def test_largest_times_accepted(self):
         assert SpeakerSegment("A", 0.0, 999999999999.999).span == (0, 999999999999999)
         assert ChangeHypothesis("r", (-999999999999.999,)).stamps_ms == (-999999999999999,)
@@ -423,6 +450,13 @@ class TestValidation:
             SpeakerSegment(bad, 0.0, 1.0)
         with pytest.raises(ValueError, match=f"^recording id {rule}"):
             Annotation(bad, (SpeakerSegment("A", 0.0, 1.0),))
+
+    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", " r", "r\n"])
+    def test_hypothesis_id_is_one_stamps_field(self, bad):
+        # serialize_change_stamps writes the id before a tab, and the reader strips it
+        with pytest.raises(ValueError,
+                           match="^recording id must be non-empty and contain no whitespace"):
+            ChangeHypothesis(bad, (1.0,))
 
     def test_hypothesis_sorts_and_dedups(self):
         h = ChangeHypothesis("r", (3.0, 1.0, 3.0, 2.0))

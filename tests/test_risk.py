@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -85,6 +86,36 @@ class TestPerHypRisk:
 
 def nbest_of(ref, hyps_with_scores, uid="utt"):
     return NBest(uid, ref, tuple(ScoredHypothesis(t, s) for t, s in hyps_with_scores))
+
+
+class TestRecords:
+    @pytest.mark.parametrize("bad", [True, False, "1", None, float("nan"), float("-inf"),
+                                     10**400],
+                             ids=["True", "False", "str", "None", "nan", "-inf", "10**400"])
+    def test_log_score_must_be_a_finite_number(self, bad):
+        message = f"log_score must be a finite number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoredHypothesis(RISK_REF, bad)
+
+    def test_log_score_is_stored_as_float(self):
+        h = ScoredHypothesis(RISK_REF, -3)
+        assert type(h.log_score) is float and h.log_score == -3.0
+
+    @pytest.mark.parametrize("bad", ["", None, 7])
+    def test_utterance_id_must_be_a_non_empty_string(self, bad):
+        with pytest.raises(ValueError, match="^utterance_id must be a non-empty string$"):
+            NBest(bad, RISK_REF, (ScoredHypothesis(RISK_REF, 0.0),))
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_int_too_large_for_a_float_weight_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            RiskConfig(**{name: 10**400})
+
+    @pytest.mark.parametrize("name", ["nll_weight", "nll"])
+    def test_int_too_large_for_a_float_nll_is_a_value_error(self, name):
+        args = {"nll_weight": 0.03, "nll": 2.0, name: 10**400}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            pooled_loss([], **args)
 
 
 class TestExpectedRisk:

@@ -46,6 +46,12 @@ class TestHypothesisSpace:
             train(space, TrainConfig(steps=1, risk=RiskConfig(risk_kind=kind)))
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "nll_weight"])
+def test_int_too_large_for_a_float_config_is_a_value_error(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        TrainConfig(**{name: 10**400})
+
+
 class TestEnumerateCandidates:
     def test_single_edit_closure(self):
         ref = (word("a"), SPEAKER_TURN, word("b"))
