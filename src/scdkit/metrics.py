@@ -10,13 +10,17 @@ A prediction is correct when its collar-widened window touches any
 change interval; a change interval is recalled when at least one
 prediction matches it.
 
-Purity and coverage score the mono-speaker side: each reference segment
-is credited with its best-overlapping hypothesis segment (the span cut
-at the predicted change points) and vice versa.
+Purity and coverage score the mono-speaker side: each reference unit
+(one speaker's contiguous coverage) is credited with its best-overlapping
+hypothesis segment (the span cut at the predicted change points) and
+vice versa.  Both come from one pass over the pairs with positive
+overlap.  The hypothesis segments partition the span, so the purity
+denominator is the span's length.
 
-All three computations are sorted sweeps that only visit pairs that can
-match or overlap, so scoring S segments against P predictions takes
-O((S+P) log(S+P)) time for a bounded number of concurrent speakers.
+All three computations are sorted sweeps or bisections that only visit
+pairs that can match or overlap, so scoring S segments against P
+predictions takes O((S+P) log(S+P)) time for a bounded number of
+concurrent speakers.
 
 Time is exact integer milliseconds inside this module.  The public types
 keep float seconds, and every time passes through ``_ms`` once: the
@@ -333,13 +337,6 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     )
 
 
-def reference_units(coverage: Coverage) -> List[Tuple[str, Span]]:
-    """Per-speaker contiguous coverage spans, the units of coverage scoring."""
-    units = [(speaker, span) for speaker, spans in coverage.items() for span in spans]
-    units.sort(key=lambda u: (u[1], u[0]))
-    return units
-
-
 def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> List[Span]:
     """The annotated span cut at the kept prediction timestamps, in ms."""
     t_min = min(spans[0][0] for spans in coverage.values())
@@ -347,10 +344,6 @@ def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> Lis
     cuts = [t for t in hypothesis.stamps_ms if t_min < t < t_max]
     bounds = [t_min] + cuts + [t_max]
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
-def _overlap(a: Span, b: Span) -> int:
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
 
 
 def _segmentation_report(pur_num: int, pur_den: int,
@@ -373,35 +366,32 @@ def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
                     gap_merge: float = 0.0) -> SegmentationReport:
     """Best-overlap segmentation scores between reference and hypothesis segments."""
     coverage = _scored_coverage(annotation, hypothesis, gap_merge)
-    refs = [span for _, span in reference_units(coverage)]
     hyps = hypothesis_segments(coverage, hypothesis)
 
-    # Only pairs with positive overlap are visited; every other pair
-    # overlaps by 0, which is also each max's default.  The hypothesis
-    # segments partition the span, so a reference unit overlaps one run of
-    # them.
+    # One pass over the pairs with positive overlap: every other pair
+    # overlaps by 0, the value each best starts from.  The hypothesis
+    # segments partition the span, so each reference unit (one speaker's
+    # coverage span) overlaps one run of them, and their lengths sum to the
+    # span, the purity denominator.
     hyp_starts = [start for start, _ in hyps]
     hyp_ends = [end for _, end in hyps]
+    best = [0] * len(hyps)
     cov_num = 0
     cov_den = 0
-    for ref in refs:
-        run = hyps[bisect_right(hyp_ends, ref[0]):bisect_left(hyp_starts, ref[1])]
-        cov_num += max((_overlap(ref, h) for h in run), default=0)
-        cov_den += ref[1] - ref[0]
-    # Reference units in start order join the active list once they start
-    # before the segment ends and leave it once they end at or before its start.
-    pur_num = 0
-    pur_den = 0
-    active: List[Span] = []
-    joined = 0
-    for h in hyps:
-        while joined < len(refs) and refs[joined][0] < h[1]:
-            active.append(refs[joined])
-            joined += 1
-        active = [ref for ref in active if ref[1] > h[0]]
-        pur_num += max((_overlap(h, ref) for ref in active), default=0)
-        pur_den += h[1] - h[0]
-    return _segmentation_report(pur_num, pur_den, cov_num, cov_den)
+    for spans in coverage.values():
+        for start, end in spans:
+            top = 0
+            for i in range(bisect_right(hyp_ends, start), bisect_left(hyp_starts, end)):
+                h_start = hyp_starts[i]
+                h_end = hyp_ends[i]
+                overlap = (end if end < h_end else h_end) - (start if start > h_start else h_start)
+                if overlap > top:
+                    top = overlap
+                if overlap > best[i]:
+                    best[i] = overlap
+            cov_num += top
+            cov_den += end - start
+    return _segmentation_report(sum(best), hyp_ends[-1] - hyp_starts[0], cov_num, cov_den)
 
 
 def pooled_precision_recall(reports: Sequence[PrecisionRecallReport]) -> PrecisionRecallReport:

@@ -16,8 +16,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, align_counts
 from .tokens import Token, TokenSeq, as_token_seq
 
-# exp(log_score) above this is not a probability
+# exp(log_score) above this is not a probability, nor a sum of them above _MAX_PROB
 _MAX_LOG_PROB = math.log1p(1e-9)
+_MAX_PROB = 1 + 1e-9
 
 
 def _finite(v: float) -> bool:
@@ -137,13 +138,14 @@ def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
     return risk
 
 
-def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) -> List[float]:
-    """Per-hypothesis probabilities from log scores.
+def hypothesis_probs(nbest: NBest, normalize: bool) -> List[float]:
+    """Per-hypothesis probabilities from the log scores of ``nbest``.
 
     Softmax over the list when ``normalize``; otherwise the scores must
-    already be log probabilities and are simply exponentiated.
+    already be log probabilities, which are exponentiated and must sum to
+    at most 1 (within 1e-9).
     """
-    scores = [h.log_score for h in hypotheses]
+    scores = [h.log_score for h in nbest.hypotheses]
     if normalize:
         top = max(scores)
         exps = [math.exp(s - top) for s in scores]
@@ -154,7 +156,12 @@ def hypothesis_probs(hypotheses: Sequence[ScoredHypothesis], normalize: bool) ->
             raise ValueError(
                 f"log_score {s} exceeds 0: scores are not probabilities "
                 "(enable score normalization or fix the input)")
-    return [math.exp(s) for s in scores]
+    probs = [math.exp(s) for s in scores]
+    if sum(probs) > _MAX_PROB:
+        raise ValueError(
+            f"probabilities of {nbest.utterance_id!r} sum to {sum(probs)}, above 1: scores are "
+            "not log probabilities (enable score normalization or fix the input)")
+    return probs
 
 
 # (nbest, config, breakdown) of the last expected_risk call that returned.
@@ -173,7 +180,7 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
     last = _last  # one read: a concurrent store can cost a miss, never a mismatch
     if last is not None and last[0] is nbest and last[1] == config:
         return last[2]
-    probs = hypothesis_probs(nbest.hypotheses, config.normalize_scores)
+    probs = hypothesis_probs(nbest, config.normalize_scores)
     rows = hypothesis_errors(nbest.reference, (h.tokens for h in nbest.hypotheses), config)
     exp_risk = exp_fa = exp_fr = exp_w = 0.0
     for p, (r, counts) in zip(probs, rows):

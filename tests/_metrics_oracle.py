@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from scdkit.metrics import (
     Annotation,
     ChangeHypothesis,
+    Coverage,
     PrecisionRecallReport,
     SegmentationReport,
     Span,
@@ -24,7 +25,6 @@ from scdkit.metrics import (
     _ms,
     f1_score,
     hypothesis_segments,
-    reference_units,
     speaker_coverage,
 )
 
@@ -150,6 +150,13 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
         hit_duration=hit_ms / 1000,
         total_duration=total_ms / 1000,
     )
+
+
+def reference_units(coverage: Coverage) -> List[Tuple[str, Span]]:
+    """Per-speaker contiguous coverage spans, the units of coverage scoring."""
+    units = [(speaker, span) for speaker, spans in coverage.items() for span in spans]
+    units.sort(key=lambda u: (u[1], u[0]))
+    return units
 
 
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,

@@ -255,6 +255,18 @@ def test_log_score_too_large_for_a_float_is_a_data_error_exit_2(tmp_path):
     assert proc.stderr == f"error: {nbest}:1: log_score must be a finite number, got {score}\n"
 
 
+def test_unnormalized_probability_mass_above_one_is_a_data_error_exit_2(tmp_path):
+    nbest = tmp_path / "n.jsonl"
+    nbest.write_text('{"utterance_id": "u7", "reference": "a", "hypotheses": '
+                     '[{"text": "a", "log_score": 0.0}, {"text": "b", "log_score": 0.0}]}\n')
+    proc = run_cli("risk", "--nbest", str(nbest), "--no-normalize")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: probabilities of 'u7' sum to 2.0, above 1: scores are not "
+                           "log probabilities (enable score normalization or fix the input)\n")
+    run_cli("risk", "--nbest", str(nbest), check=True)
+
+
 def test_malformed_rttm_exit_2(tmp_path):
     bad = tmp_path / "bad.rttm"
     bad.write_text("SPEAKER rec 1 0.00 1.00 <NA> <NA>\n")

@@ -273,6 +273,15 @@ class TestPurityCoverage:
         assert r.coverage == 1.0
         assert r.purity == 1.0
 
+    def test_segment_in_a_gap_counts_in_the_purity_denominator(self):
+        # the middle segment [10, 20] s overlaps no speaker: best overlap 0,
+        # but its length is in purity_den, which is the whole span
+        a = ann("r", ("A", 0.0, 10.0), ("B", 20.0, 30.0))
+        r = purity_coverage(a, ChangeHypothesis("r", (10.0, 20.0)))
+        assert (r.purity_num, r.purity_den) == (20.0, 30.0)
+        assert r.purity == 20 / 30
+        assert (r.coverage_num, r.coverage_den, r.coverage) == (20.0, 20.0, 1.0)
+
     def test_cut_at_span_edges_is_ignored(self):
         a = ann("r", ("A", 0.0, 10.0))
         segs = hypothesis_segments(speaker_coverage(a), ChangeHypothesis("r", (0.0, 10.0)))

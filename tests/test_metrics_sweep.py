@@ -15,7 +15,6 @@ from scdkit.metrics import (
     hypothesis_segments,
     mono_speaker_ranges,
     purity_coverage,
-    reference_units,
     score_changes,
     speaker_coverage,
 )
@@ -126,13 +125,25 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-def test_purity_coverage_overlap_calls_are_linear(monkeypatch):
+def test_purity_coverage_pairs_and_searches_are_linear(monkeypatch):
     ann, hyp = longform(random.Random(11))
-    n_refs = len(reference_units(speaker_coverage(ann)))
+    n_refs = len(oracle.reference_units(speaker_coverage(ann)))
     n_hyps = len(hypothesis_segments(speaker_coverage(ann), hyp))
-    calls = counting(monkeypatch, metrics, "_overlap")
+    # each bisect is one search of the hypothesis segments, and each range
+    # is one reference unit's run of them, whose length is the pairs visited
+    searches = [counting(monkeypatch, metrics, "bisect_left"),
+                counting(monkeypatch, metrics, "bisect_right")]
+    pairs = [0]
+
+    def counted_range(*args):
+        run = range(*args)
+        pairs[0] += len(run)
+        return run
+
+    monkeypatch.setattr(metrics, "range", counted_range, raising=False)
     purity_coverage(ann, hyp)
-    assert 0 < calls[0] <= 8 * (n_refs + n_hyps)
+    assert 0 < sum(c[0] for c in searches) <= 2 * n_refs
+    assert 0 < pairs[0] <= 8 * (n_refs + n_hyps)
 
 
 def test_score_changes_matching_comparisons_are_linear(monkeypatch):

@@ -139,6 +139,19 @@ class TestExpectedRisk:
         with pytest.raises(ValueError):
             expected_risk(nb, RiskConfig(normalize_scores=False))
 
+    def test_unnormalized_rejects_mass_above_one(self):
+        nb = nbest_of(RISK_REF, [(RISK_REF, 0.0), (RISK_HYP, 0.0)], uid="u7")
+        with pytest.raises(ValueError, match=r"probabilities of 'u7' sum to 2\.0, above 1"):
+            expected_risk(nb, RiskConfig(normalize_scores=False))
+
+    def test_unnormalized_mass_tolerance_is_1e_9(self):
+        config = RiskConfig(normalize_scores=False)
+        within = nbest_of(RISK_REF, [(RISK_REF, math.log(0.5)), (RISK_HYP, math.log(0.5 + 5e-10))])
+        assert sum(expected_risk(within, config).per_hyp_prob) > 1
+        beyond = nbest_of(RISK_REF, [(RISK_REF, math.log(0.5)), (RISK_HYP, math.log(0.5 + 2e-9))])
+        with pytest.raises(ValueError, match="above 1"):
+            expected_risk(beyond, config)
+
     def test_probs_sum_to_one(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -371,9 +384,12 @@ def random_scored_nbest(rng, uid, normalize):
     hyps = []
     for _ in range(rng.randint(1, 6)):
         tokens = tuple(rng.choice(pool) for _ in range(rng.randint(0, 9)))
-        score = rng.gauss(0.0, 3.0) if normalize else math.log(rng.uniform(0.01, 1.0))
-        hyps.append(ScoredHypothesis(tokens, score))
-    return NBest(uid, ref, tuple(hyps))
+        hyps.append((tokens, rng.gauss(0.0, 3.0) if normalize else rng.uniform(0.01, 1.0)))
+    if not normalize:
+        # log probabilities of a sub-distribution: a total mass of at most 1
+        scale = rng.uniform(0.01, 1.0) / sum(p for _, p in hyps)
+        hyps = [(tokens, math.log(p * scale)) for tokens, p in hyps]
+    return NBest(uid, ref, tuple(ScoredHypothesis(tokens, s) for tokens, s in hyps))
 
 
 @pytest.mark.parametrize("kind", list(RiskKind), ids=lambda k: k.value)
