@@ -18,32 +18,15 @@ when the word-edit detour has exactly equal cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
+from .metrics import _ms
 from .tokens import Token, as_token_seq
 
 # Every word edit (insertion, deletion, substitution) costs 1.
 WORD_COST_MILLI = 1000
-
-
-def k_to_milli(k) -> int:
-    """Convert a turn-marker cost k (at most 3 decimal places) to exact milli-units."""
-    try:
-        d = k if isinstance(k, Decimal) else Decimal(str(k))
-    except InvalidOperation as exc:
-        raise ValueError(f"k is not a decimal number: {k!r}") from exc
-    if not d.is_finite():
-        raise ValueError(f"k must be finite, got {k!r}")
-    scaled = d * 1000
-    if scaled != scaled.to_integral_value():
-        raise ValueError(f"k must have at most 3 decimal places, got {k!r}")
-    milli = int(scaled)
-    if milli < 1000:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    return milli
 
 
 @dataclass(frozen=True)
@@ -60,7 +43,23 @@ class AlignmentCosts:
 
     @classmethod
     def from_k(cls, k) -> "AlignmentCosts":
-        return cls(st_cost_milli=k_to_milli(k))
+        """The costs for a turn-marker cost ``k`` >= 1, a number or its text.
+
+        ``k`` follows the rule ``metrics._ms`` applies to seconds: finite,
+        below 10**12 and with at most 3 decimal places, so its milli-units
+        are exact.
+        """
+        try:
+            if isinstance(k, bool):  # float() would read it as 0 or 1
+                raise TypeError
+            # an int goes to _ms as it is: one too large for a float fails its bound
+            value = k if isinstance(k, int) else float(k)
+        except (TypeError, ValueError):
+            raise ValueError(f"k is not a number: {k!r}") from None
+        milli = _ms(value, "k", unit="")
+        if milli < 1000:
+            raise ValueError(f"k must be >= 1, got {k!r}")
+        return cls(st_cost_milli=milli)
 
 
 DEFAULT_COSTS = AlignmentCosts.from_k("1.1")

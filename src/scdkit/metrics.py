@@ -40,7 +40,7 @@ Span = Tuple[int, int]
 Coverage = Dict[str, Tuple[Span, ...]]
 
 
-def _ms(seconds: float, what: str) -> int:
+def _ms(seconds: float, what: str, unit: str = " s") -> int:
     """``seconds`` as exact integer milliseconds.
 
     Raises ValueError when the value is not finite, not on the millisecond
@@ -49,14 +49,16 @@ def _ms(seconds: float, what: str) -> int:
     has at most 15 significant digits, which a double holds exactly, so the
     milliseconds of every accepted value are the ones its text spelled.
     The bound is checked first: it is False for NaN and the infinities, and
-    an int too large for a float never reaches a float conversion.
+    an int too large for a float never reaches a float conversion.  The
+    error message names the bound with ``unit``, which is empty for a
+    quantity other than seconds.
     """
     scaled = seconds * 1000
     if -1e15 < scaled < 1e15:
         ms = round(scaled)
         if ms / 1000 == seconds:
             return ms
-    raise ValueError(f"{what} must be finite, below 10**12 s in magnitude and with at most "
+    raise ValueError(f"{what} must be finite, below 10**12{unit} in magnitude and with at most "
                      f"3 decimal places, got {seconds!r}")
 
 

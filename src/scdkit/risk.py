@@ -154,8 +154,8 @@ def hypothesis_probs(nbest: NBest, normalize: bool) -> List[float]:
     for s in scores:
         if s > _MAX_LOG_PROB:
             raise ValueError(
-                f"log_score {s} exceeds 0: scores are not probabilities "
-                "(enable score normalization or fix the input)")
+                f"log_score {s} of {nbest.utterance_id!r} exceeds 0: scores are not "
+                "probabilities (enable score normalization or fix the input)")
     probs = [math.exp(s) for s in scores]
     if sum(probs) > _MAX_PROB:
         raise ValueError(

@@ -7,10 +7,13 @@ same minimum cost and one of the error counts an optimal alignment can
 have.  ``cost_from_ops`` and ``counts_from_ops`` recompute an op trace's
 cost and error counts independently of the DP.  ``table_align`` is the
 earlier three-table DP with explicit tie-break tuples; ``align`` must
-return exactly its ops, cost and counts.
+return exactly its ops, cost and counts.  ``k_to_milli`` is the earlier
+``Decimal`` converter of the turn-marker cost; ``AlignmentCosts.from_k``
+must give its milli-units wherever it accepts ``k``.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from typing import FrozenSet, Optional, Sequence
 
 from scdkit.alignment import (
@@ -25,6 +28,23 @@ from scdkit.alignment import (
 from scdkit.tokens import Token, TokenSeq, as_token_seq
 
 BRUTE_FORCE_MAX_LEN = 8
+
+
+def k_to_milli(k) -> int:
+    """Convert a turn-marker cost k (at most 3 decimal places) to exact milli-units."""
+    try:
+        d = k if isinstance(k, Decimal) else Decimal(str(k))
+    except InvalidOperation as exc:
+        raise ValueError(f"k is not a decimal number: {k!r}") from exc
+    if not d.is_finite():
+        raise ValueError(f"k must be finite, got {k!r}")
+    scaled = d * 1000
+    if scaled != scaled.to_integral_value():
+        raise ValueError(f"k must have at most 3 decimal places, got {k!r}")
+    milli = int(scaled)
+    if milli < 1000:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    return milli
 
 
 def op_cost(op: EditOp, reference: TokenSeq, hypothesis: TokenSeq, costs: AlignmentCosts) -> int:

@@ -1,10 +1,17 @@
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _alignment_oracle import brute_force_align, cost_from_ops, counts_from_ops, table_align
+from _alignment_oracle import (
+    brute_force_align,
+    cost_from_ops,
+    counts_from_ops,
+    k_to_milli,
+    table_align,
+)
 from scdkit.alignment import (
     AlignmentCosts,
     EditOp,
@@ -12,7 +19,6 @@ from scdkit.alignment import (
     OpKind,
     align,
     align_counts,
-    k_to_milli,
 )
 from scdkit.tokens import SPEAKER_TURN, word
 
@@ -39,32 +45,81 @@ def levenshtein(a, b):
     return prev[-1]
 
 
+def milli(k):
+    return AlignmentCosts.from_k(k).st_cost_milli
+
+
 class TestCostConversion:
     def test_exact_milli(self):
-        assert k_to_milli("1.1") == 1100
-        assert k_to_milli(1.1) == 1100
-        assert k_to_milli(2) == 2000
-        assert k_to_milli("2.525") == 2525
+        assert milli("1.1") == 1100
+        assert milli(1.1) == 1100
+        assert milli(2) == 2000
+        assert milli("2.525") == 2525
 
     def test_rejects_too_many_decimals(self):
         with pytest.raises(ValueError):
-            k_to_milli("1.0001")
+            milli("1.0001")
+
+    def test_k_of_10_to_the_12_is_rejected_with_a_unitless_bound(self):
+        # k is a cost, not seconds: the shared rule's message names no unit
+        with pytest.raises(ValueError, match=r"^k must be finite, below 10\*\*12 in magnitude "):
+            milli(10**12)
+
+    def test_text_is_read_as_a_double_like_the_seconds_flags(self):
+        # more digits than a double keeps: the text is read as the double 1.1
+        assert milli("1.1000000000000000001") == 1100
 
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
-            k_to_milli("0.9")
+            milli("0.9")
         with pytest.raises(ValueError):
             AlignmentCosts(st_cost_milli=999)
 
-    @pytest.mark.parametrize("k", ["inf", "-inf", "nan", "sNaN", float("inf"), float("nan")])
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan", float("inf"), float("nan")])
     def test_rejects_non_finite_k(self, k):
         with pytest.raises(ValueError, match="k must be finite"):
+            AlignmentCosts.from_k(k)
+
+    @pytest.mark.parametrize("k", ["sNaN", Decimal("sNaN"), "abc", "", None, True, False, [1]],
+                             ids=["sNaN", "Decimal-sNaN", "abc", "empty", "None", "True",
+                                  "False", "list"])
+    def test_rejects_what_is_not_a_number(self, k):
+        # float() reads "sNaN" as no number, so it gets this message, not the finite one
+        with pytest.raises(ValueError, match=r"^k is not a number: "):
             AlignmentCosts.from_k(k)
 
     @pytest.mark.parametrize("milli", [1500.5, 2000.0, True, "1100"])
     def test_rejects_non_int_milli(self, milli):
         with pytest.raises(ValueError, match="must be an int >= 1000 milli"):
             AlignmentCosts(st_cost_milli=milli)
+
+
+class TestCostConversionOracle:
+    """``from_k`` against the earlier ``Decimal`` converter, ``k_to_milli``."""
+
+    K_TEXTS = [f"{m // 1000}.{m % 1000:03d}" for m in range(1000, 20001)]
+
+    @pytest.mark.parametrize("form", [str, float, Decimal])
+    def test_every_3_decimal_k_in_1_to_20(self, form):
+        for text in self.K_TEXTS:
+            k = form(text)
+            assert milli(k) == k_to_milli(k), k
+
+    def test_int_k(self):
+        for k in range(1, 21):
+            assert milli(k) == k_to_milli(k) == 1000 * k
+
+    @pytest.mark.parametrize("k", [True, None, "abc", "sNaN", float("nan"), float("inf"),
+                                   float("-inf"), "1.0001", "0.9", 10**12, 10**400],
+                             ids=["True", "None", "abc", "sNaN", "nan", "inf", "-inf", "1.0001",
+                                  "0.9", "10**12", "10**400"])
+    def test_rejects(self, k):
+        with pytest.raises(ValueError):
+            AlignmentCosts.from_k(k)
+
+    def test_largest_k_below_10_to_the_12(self):
+        assert milli(10**12 - 1) == k_to_milli(10**12 - 1)
+        assert milli("999999999999.999") == 999_999_999_999_999
 
 
 class TestAlignExamples:

@@ -267,6 +267,19 @@ def test_unnormalized_probability_mass_above_one_is_a_data_error_exit_2(tmp_path
     run_cli("risk", "--nbest", str(nbest), check=True)
 
 
+def test_unnormalized_log_score_above_zero_names_the_utterance_exit_2(tmp_path):
+    nbest = tmp_path / "n.jsonl"
+    nbest.write_text('{"utterance_id": "u1", "reference": "a", '
+                     '"hypotheses": [{"text": "a", "log_score": -0.5}]}\n'
+                     '{"utterance_id": "u2", "reference": "a", '
+                     '"hypotheses": [{"text": "a", "log_score": 0.5}]}\n')
+    proc = run_cli("risk", "--nbest", str(nbest), "--no-normalize")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: log_score 0.5 of 'u2' exceeds 0: scores are not "
+                           "probabilities (enable score normalization or fix the input)\n")
+
+
 def test_malformed_rttm_exit_2(tmp_path):
     bad = tmp_path / "bad.rttm"
     bad.write_text("SPEAKER rec 1 0.00 1.00 <NA> <NA>\n")

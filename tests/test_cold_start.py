@@ -1,12 +1,14 @@
-"""numpy loads only with the trainer, and the package surface survives that.
+"""Modules load on first use, and the package surface survives that.
 
-Only ``scdkit.trainer`` imports numpy.  ``import scdkit`` and the ``score``,
-``risk``, ``align`` and ``segment`` subcommands must leave it unloaded, which
-a fresh interpreter shows; ``train-toy`` is the control that does load it.
+``import scdkit`` loads no submodule.  Only ``scdkit.trainer`` imports numpy,
+so the ``score``, ``risk``, ``align`` and ``segment`` subcommands must leave it
+unloaded, and ``decimal`` too, which a fresh interpreter shows; ``train-toy``
+is the control that does load numpy.
 """
 
 import json
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +20,17 @@ import scdkit.trainer
 from scdkit.dataio import TrainStep, TrainTrace
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 # Runs in a fresh interpreter: argv[1] is the fixtures directory, argv[2] an
-# output file.  Prints one JSON object with the exit codes and whether numpy
-# was loaded after each phase.
+# output file.  Prints one JSON object with the exit codes, the scdkit
+# submodules loaded by ``import scdkit`` and whether numpy and decimal were
+# loaded after each phase.
 _PROBE = """
 import json, sys
-import scdkit, scdkit.cli
+import scdkit
+submodules_after_import = sorted(m for m in sys.modules if m.startswith("scdkit."))
+import scdkit.cli
 after_import = "numpy" in sys.modules
 fixtures, out = sys.argv[1], sys.argv[2]
 runs = [
@@ -35,11 +41,14 @@ runs = [
 ]
 codes = [scdkit.cli.main([*argv, "--out", out]) for argv in runs]
 after_commands = "numpy" in sys.modules
+decimal_after_commands = "decimal" in sys.modules
 train_code = scdkit.cli.main(
     ["train-toy", "--scenario", "st-vs-word", "--steps", "5", "--out", out])
-print(json.dumps({"after_import": after_import, "codes": codes,
-                  "after_commands": after_commands, "train_code": train_code,
-                  "after_train": "numpy" in sys.modules}))
+print(json.dumps({"submodules_after_import": submodules_after_import,
+                  "after_import": after_import, "codes": codes,
+                  "after_commands": after_commands,
+                  "decimal_after_commands": decimal_after_commands,
+                  "train_code": train_code, "after_train": "numpy" in sys.modules}))
 """
 
 
@@ -52,6 +61,10 @@ def probe(tmp_path_factory):
     return json.loads(proc.stdout)
 
 
+def test_import_loads_no_submodule(probe):
+    assert probe["submodules_after_import"] == []
+
+
 def test_import_leaves_numpy_unloaded(probe):
     assert probe["after_import"] is False
 
@@ -59,6 +72,11 @@ def test_import_leaves_numpy_unloaded(probe):
 def test_non_trainer_subcommands_leave_numpy_unloaded(probe):
     assert probe["codes"] == [0, 0, 0, 0]
     assert probe["after_commands"] is False
+
+
+def test_non_trainer_subcommands_leave_decimal_unloaded(probe):
+    assert probe["codes"] == [0, 0, 0, 0]
+    assert probe["decimal_after_commands"] is False
 
 
 def test_train_toy_loads_numpy(probe):
@@ -84,6 +102,11 @@ class TestPackageSurface:
         assert scdkit.TrainTrace is scdkit.trainer.TrainTrace is TrainTrace
         assert scdkit.train is scdkit.trainer.train
         assert scdkit.TrainConfig is scdkit.trainer.TrainConfig
+
+    def test_version_is_the_pyproject_version(self):
+        # the one `version = "..."` line of pyproject.toml, its [project] version
+        versions = re.findall(r'^version = "([^"]*)"$', PYPROJECT.read_text(), re.M)
+        assert versions == [scdkit.__version__]
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):

@@ -135,8 +135,8 @@ class TestExpectedRisk:
         assert b.expected_risk == pytest.approx(0.22, abs=1e-12)
 
     def test_unnormalized_rejects_score_above_one(self):
-        nb = nbest_of(RISK_REF, [(RISK_REF, 0.5)])
-        with pytest.raises(ValueError):
+        nb = nbest_of(RISK_REF, [(RISK_REF, 0.5)], uid="u3")
+        with pytest.raises(ValueError, match=r"^log_score 0\.5 of 'u3' exceeds 0"):
             expected_risk(nb, RiskConfig(normalize_scores=False))
 
     def test_unnormalized_rejects_mass_above_one(self):
