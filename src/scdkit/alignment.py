@@ -13,20 +13,36 @@ below is deterministic:
 The secondary criterion is what makes a turn marker within floor(k)
 word positions of its reference position count as correctly aligned even
 when the word-edit detour has exactly equal cost.
+
+The one DP recurrence, ``_key_rows``, has two executions.  The pure-Python
+one aligns one pair and is what ``align`` and ``align_counts`` run.
+``align_counts_batch`` aligns a whole N-best list against its reference in
+one numpy DP, with array rows, but only when numpy is already loaded: this
+module never imports it, so ``scd risk``, ``score``, ``align`` and
+``segment`` start without it (the import costs more than the batch saves on
+one such run).  It falls back to the pure execution for an empty reference,
+for a list whose hypotheses are all empty, and when a key could reach 2**62,
+where int64 would not be exact.  Both executions give identical keys, so the
+counts never depend on which one ran.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import _ms
 from .tokens import Token, as_token_seq
 
 # Every word edit (insertion, deletion, substitution) costs 1.
 WORD_COST_MILLI = 1000
+
+# The batched DP's keys stay below this, so each int64 sum it forms, even with
+# the impossible-substitution step added, is exact.
+_BATCH_KEY_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,59 @@ def _key_rows(ref_text: Sequence[Optional[str]], hyp_text: Sequence[Optional[str
     return rows if keep_rows else [prev]
 
 
+def _batch_keys(ref_text: Sequence[Optional[str]],
+                hyp_texts: Sequence[Sequence[Optional[str]]], st_cost: int) -> Optional[List[int]]:
+    """``_key_rows``'s final key of each hypothesis, from one numpy DP over them all.
+
+    None when numpy is not loaded, or when the int64 DP would not be exact
+    or has nothing to do: an empty reference, no hypothesis token at all, or
+    a key that could reach 2**62.
+    """
+    np = sys.modules.get("numpy")
+    n = len(ref_text)
+    lengths = [len(h) for h in hyp_texts]
+    width = max(lengths, default=0)
+    # one common scale; turn errors <= n + width < scale still, so key order is unchanged
+    scale = n + width + 1
+    if (np is None or not n or not width
+            or (n + width) * (max(st_cost, WORD_COST_MILLI) * scale + 1) >= _BATCH_KEY_LIMIT):
+        return None
+    word_step = WORD_COST_MILLI * scale
+    turn_step = st_cost * scale + 1
+    # hypothesis tokens as codes: a word's vocabulary index, -1 the turn, -2 padding
+    vocab = {}
+    codes = np.full((len(hyp_texts), width), -2, dtype=np.int64)
+    for row, hyp in zip(codes, hyp_texts):
+        row[:len(hyp)] = [-1 if h is None else vocab.setdefault(h, len(vocab)) for h in hyp]
+    # padding steps like a word; no real column reads a padded one
+    steps = np.where(codes == -1, turn_step, word_step)
+    ins = np.zeros((len(hyp_texts), width + 1), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=ins[:, 1:])
+    # diagonal step of a word row against each token, and of a turn row;
+    # _BATCH_KEY_LIMIT where no substitution is allowed, so it never wins
+    word_diag = np.where(codes >= 0, word_step, _BATCH_KEY_LIMIT)
+    turn_diag = np.where(codes == -1, 0, _BATCH_KEY_LIMIT)
+    prev = ins
+    for r in ref_text:
+        if r is None:
+            r_step, diag = turn_step, turn_diag
+        else:
+            code = vocab.get(r)
+            r_step = word_step
+            diag = word_diag if code is None else np.where(codes == code, 0, word_diag)
+        # delete (and column 0), then match or substitute; on equal text the
+        # match is the minimum, the lemma _key_rows's forced match rests on
+        cur = prev + r_step
+        np.minimum(cur[:, 1:], prev[:, :-1] + diag, out=cur[:, 1:])
+        # the insert chain along the row is a prefix minimum
+        prev = ins + np.minimum.accumulate(cur - ins, axis=1)
+    keys = []
+    for key, m in zip(prev[np.arange(len(hyp_texts)), lengths].tolist(), lengths):
+        cost, turns = divmod(key, scale)
+        keys.append(cost * (n + m + 1) + turns)  # its own scale, as _counts_from_key reads it
+    return keys
+
+
 def _counts_from_key(key: int, ref_text: Sequence[Optional[str]],
                      hyp_text: Sequence[Optional[str]], st_cost: int) -> Tuple[int, ErrorCounts]:
     """(cost_milli, error counts) from the final DP key.
@@ -175,6 +244,23 @@ def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
     hyp_text = [t.text for t in as_token_seq(hypothesis)]
     key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=False)[-1][-1]
     return _counts_from_key(key, ref_text, hyp_text, costs.st_cost_milli)[1]
+
+
+def align_counts_batch(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],
+                       costs: AlignmentCosts = DEFAULT_COSTS) -> List[ErrorCounts]:
+    """``align_counts`` of each hypothesis against ``reference``, in order.
+
+    One batched numpy DP over the whole list when numpy is already loaded and
+    the batch is exact (see the module docstring); else one pure DP per
+    hypothesis.  Both give the same counts.
+    """
+    ref_text = [t.text for t in as_token_seq(reference)]
+    hyp_texts = [[t.text for t in as_token_seq(h)] for h in hypotheses]
+    st_cost = costs.st_cost_milli
+    keys = _batch_keys(ref_text, hyp_texts, st_cost)
+    if keys is None:
+        keys = [_key_rows(ref_text, h, st_cost, keep_rows=False)[-1][-1] for h in hyp_texts]
+    return [_counts_from_key(key, ref_text, h, st_cost)[1] for key, h in zip(keys, hyp_texts)]
 
 
 def align(reference: Sequence[Token], hypothesis: Sequence[Token],

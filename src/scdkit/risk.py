@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, align_counts
+from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, align_counts_batch
 from .tokens import Token, TokenSeq, as_token_seq
 
 # exp(log_score) above this is not a probability, nor a sum of them above _MAX_PROB
@@ -106,7 +106,8 @@ def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[
                       config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
     """(risk, error counts) of each hypothesis, aligned once against ``reference``.
 
-    The one place in the risk path that aligns; it builds no path.  The risk is
+    The one place in the risk path that aligns: the whole list goes to
+    ``align_counts_batch`` in one call, and no path is built.  The risk is
     (alpha*W + beta*FA + gamma*FR) / |reference| for the turn-weighted
     kind and raw W + FA + FR for the word-error-only kind.
     """
@@ -115,8 +116,7 @@ def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[
     if weighted and not ref:
         raise ValueError("reference must contain at least one token")
     rows = []
-    for hyp in hypotheses:
-        c = align_counts(ref, hyp, config.costs)
+    for c in align_counts_batch(ref, hypotheses, config.costs):
         risk = ((config.alpha * c.word_errors + config.beta * c.st_insertions
                  + config.gamma * c.st_deletions) / len(ref)
                 if weighted else float(c.total_errors))

@@ -1,6 +1,8 @@
 import random
+import sys
 from decimal import Decimal
 
+import numpy  # noqa: F401  (loaded, so align_counts_batch takes its batched path)
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,9 +19,13 @@ from scdkit.alignment import (
     EditOp,
     ErrorCounts,
     OpKind,
+    _batch_keys,
+    _key_rows,
     align,
     align_counts,
+    align_counts_batch,
 )
+from scdkit.risk import RiskConfig, RiskKind, hypothesis_errors
 from scdkit.tokens import SPEAKER_TURN, word
 
 
@@ -290,8 +296,13 @@ def random_pair(rng, length, turn_share, vocab):
     def tok():
         return SPEAKER_TURN if rng.random() < turn_share else word(rng.choice(vocab))
     ref = [tok() for _ in range(length)]
+    return tuple(ref), perturb(rng, ref, tok)
+
+
+def perturb(rng, ref, tok):
+    """A hypothesis made from ``ref`` by random edits, new tokens drawn from ``tok``."""
     hyp = list(ref)
-    for _ in range(rng.randint(0, max(1, length // 3))):
+    for _ in range(rng.randint(0, max(1, len(ref) // 3))):
         at = rng.randint(0, len(hyp))
         edit = rng.random()
         if edit < 0.3 and at < len(hyp):
@@ -302,7 +313,7 @@ def random_pair(rng, length, turn_share, vocab):
             hyp[at] = tok()
     if rng.random() < 0.2:  # unrelated hypotheses of other lengths too
         hyp = [tok() for _ in range(rng.randint(0, 20))]
-    return tuple(ref), tuple(hyp)
+    return tuple(hyp)
 
 
 @pytest.mark.parametrize("k", ["1", "1.1", "1.5", "2", "2.5"])
@@ -340,3 +351,105 @@ class TestEditOp:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             EditOp("bogus", ref_index=0)
+
+
+# the turn-marker costs the batched DP is checked at, in milli-units
+BATCH_COSTS = [1000, 1100, 1500, 2000, 3333]
+
+
+def texts(seq):
+    return [t.text for t in seq]
+
+
+def random_nbest_list(rng, length, turn_share, vocab):
+    """A seeded reference and 1-8 hypotheses edited from it, some of them empty,
+    at least one not."""
+    def tok():
+        return SPEAKER_TURN if rng.random() < turn_share else word(rng.choice(vocab))
+    ref = tuple(tok() for _ in range(length))
+    hyps = [() if rng.random() < 0.15 else perturb(rng, ref, tok)
+            for _ in range(rng.randint(1, 8))]
+    if not any(hyps):
+        hyps.append(ref)
+    return ref, hyps
+
+
+def assert_batch_equals_pure(ref, hyps, costs):
+    st_cost = costs.st_cost_milli
+    keys = _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost)
+    assert keys == [_key_rows(texts(ref), texts(h), st_cost, keep_rows=False)[-1][-1]
+                    for h in hyps]
+    assert align_counts_batch(ref, hyps, costs) == [align_counts(ref, h, costs) for h in hyps]
+
+
+@pytest.mark.parametrize("st_cost", BATCH_COSTS)
+def test_batch_keys_equal_key_rows(st_cost):
+    # 600 seeded lists per cost, 3,000 in all: empty hypotheses mixed with
+    # non-empty ones, turn shares up to 0.9, vocabularies of 1 to 8 words
+    rng = random.Random(f"batch-dp-{st_cost}")
+    costs = AlignmentCosts(st_cost_milli=st_cost)
+    for _ in range(600):
+        turn_share = rng.choice([0.0, 0.1, 0.3, rng.uniform(0.5, 0.9)])
+        ref, hyps = random_nbest_list(rng, rng.randint(1, 20), turn_share,
+                                      "abcdefgh"[:rng.randint(1, 8)])
+        assert_batch_equals_pure(ref, hyps, costs)
+
+
+@pytest.mark.parametrize("st_cost", BATCH_COSTS)
+def test_batch_keys_equal_key_rows_long(st_cost):
+    rng = random.Random(f"batch-dp-long-{st_cost}")
+    costs = AlignmentCosts(st_cost_milli=st_cost)
+    for length in (50, 160):
+        assert_batch_equals_pure(*random_nbest_list(rng, length, 0.15, "abcdefgh"), costs)
+
+
+def test_largest_cost_inside_the_key_bound_is_exact():
+    # n + M = 6 and scale 7: the largest cost whose top key stays below 2**62
+    ref, hyps = toks("a <st> b"), [toks("<st> a b"), toks("a"), ()]
+    st_cost = ((2 ** 62 - 1) // 6 - 1) // 7
+    assert 6 * (st_cost * 7 + 1) < 2 ** 62 <= 6 * ((st_cost + 1) * 7 + 1)
+    assert _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost) is not None
+    assert_batch_equals_pure(ref, hyps, AlignmentCosts(st_cost_milli=st_cost))
+
+
+class TestBatchFallback:
+    """Where the int64 batch could not be exact, the pure DP runs for each hypothesis."""
+
+    def test_huge_turn_cost(self, key_rows_calls):
+        ref, hyps = toks("a <st> b"), [toks("<st> a b"), toks("a")]
+        costs = AlignmentCosts(st_cost_milli=10 ** 18)
+        assert _batch_keys(texts(ref), [texts(h) for h in hyps], costs.st_cost_milli) is None
+        got = align_counts_batch(ref, hyps, costs)
+        assert key_rows_calls == [len(hyps)]
+        assert got == [align_counts(ref, h, costs) for h in hyps]
+
+    def test_empty_reference_of_word_error_only(self, key_rows_calls):
+        config = RiskConfig(risk_kind=RiskKind.WORD_ERROR_ONLY)
+        hyps = [toks("a <st> b"), (), toks("c")]
+        got = hypothesis_errors((), hyps, config)
+        assert key_rows_calls == [len(hyps)]
+        want = [align_counts((), h, config.costs) for h in hyps]
+        assert got == [(float(c.total_errors), c) for c in want]
+        assert [c.word_errors for _, c in got] == [2, 0, 1]
+
+    def test_all_hypotheses_empty(self, key_rows_calls):
+        got = hypothesis_errors(toks("a <st> b"), [(), ()], RiskConfig())
+        assert key_rows_calls == [2]
+        # two words and the turn deleted: (1 * 2 + 10 * 1) / 3
+        assert got == [(4.0, ErrorCounts(word_errors=2, st_deletions=1))] * 2
+
+
+class TestBatchDispatch:
+    def test_numpy_loaded_runs_no_pure_dp(self, key_rows_calls):
+        ref = toks("a <st> b c")
+        got = hypothesis_errors(ref, [toks("a b <st> c"), toks("a <st> d")], RiskConfig())
+        assert key_rows_calls == [0]
+        assert [c for _, c in got] == [align_counts(ref, toks("a b <st> c")),
+                                      align_counts(ref, toks("a <st> d"))]
+
+    def test_numpy_not_loaded_runs_the_pure_dp(self, key_rows_calls, monkeypatch):
+        monkeypatch.delitem(sys.modules, "numpy")
+        ref = toks("a <st> b c")
+        got = align_counts_batch(ref, [toks("a b <st> c"), toks("a <st> d")])
+        assert key_rows_calls == [2]
+        assert got == [align_counts(ref, toks("a b <st> c")), align_counts(ref, toks("a <st> d"))]

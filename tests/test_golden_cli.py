@@ -4,7 +4,10 @@ Each case runs ``python -m scdkit`` on committed fixtures and compares
 stdout, stderr and the exit code with ``fixtures/golden/<name>.stdout``,
 ``<name>.stderr`` and ``<name>.code``.  The fixtures directory is written
 as ``<FIXTURES>`` in the stderr files, so they do not depend on where the
-repository is checked out.  The goldens are evidence of what the CLI printed when
+repository is checked out.  That fresh interpreter has no numpy, so ``scd
+risk`` aligns with the pure-Python DP; the risk cases that succeed run once
+more in this process, where numpy is loaded, to pin the batched DP to the
+same bytes.  The goldens are evidence of what the CLI printed when
 they were captured; a change that alters them must say so, not
 regenerate them.
 """
@@ -13,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy  # noqa: F401  (loaded, so the in-process risk runs take the batched DP)
 import pytest
+
+from scdkit import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -62,3 +68,13 @@ def test_cli_output_matches_golden(name):
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     stderr = proc.stderr.replace(str(FIXTURES).encode(), b"<FIXTURES>")
     assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["risk-machine", "risk-nbest-n", "risk-no-normalize",
+                                  "risk-table", "risk-word-error-only"])
+def test_in_process_risk_output_matches_golden(name, capsys, key_rows_calls):
+    assert cli.main(list(CASES[name])) == int((GOLDEN / f"{name}.code").read_text())
+    out, err = capsys.readouterr()
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert err.encode() == (GOLDEN / f"{name}.stderr").read_bytes()
+    assert key_rows_calls == [0]  # the batched DP aligned every hypothesis

@@ -305,17 +305,26 @@ class TestGradient:
 
 @pytest.fixture
 def align_calls(monkeypatch):
-    """Hypotheses passed to ``align_counts`` by any scdkit module, in call order."""
+    """Hypotheses passed to ``align_counts`` or ``align_counts_batch`` by any
+    scdkit module, in call order."""
     calls = []
-    original = alignment.align_counts
+    single, batch = alignment.align_counts, alignment.align_counts_batch
 
-    def counted(reference, hypothesis, *args, **kwargs):
+    def counted_single(reference, hypothesis, *args, **kwargs):
         calls.append(tuple(hypothesis))
-        return original(reference, hypothesis, *args, **kwargs)
+        return single(reference, hypothesis, *args, **kwargs)
+
+    def counted_batch(reference, hypotheses, *args, **kwargs):
+        hypotheses = [tuple(h) for h in hypotheses]
+        calls.extend(hypotheses)
+        return batch(reference, hypotheses, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("scdkit.") and vars(mod).get("align_counts") is original:
-            monkeypatch.setattr(mod, "align_counts", counted)
+        if name.startswith("scdkit."):
+            for attr, original, counted in (("align_counts", single, counted_single),
+                                            ("align_counts_batch", batch, counted_batch)):
+                if vars(mod).get(attr) is original:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
