@@ -17,10 +17,12 @@ when the word-edit detour has exactly equal cost.
 The one DP recurrence, ``_key_rows``, has two executions.  The pure-Python
 one aligns one pair and is what ``align`` and ``align_counts`` run.
 ``align_counts_batch`` aligns a whole N-best list against its reference in
-one numpy DP, with array rows, but only when numpy is already loaded: this
-module never imports it, so ``scd risk``, ``score``, ``align`` and
-``segment`` start without it (the import costs more than the batch saves on
-one such run).  It falls back to the pure execution for an empty reference,
+one numpy DP, but only when numpy is already loaded: this module never
+imports it, so ``scd risk``, ``score``, ``align`` and ``segment`` start
+without it (the import costs more than the batch saves on one such run).
+Its rows hold offset keys, each key less its row's delete chain and its
+column's insert chain; every offset is <= 0, and each reference row takes
+three in-place numpy calls.  It falls back to the pure execution for an empty reference,
 for a list whose hypotheses are all empty, and when a key could reach 2**62,
 where int64 would not be exact.  Both executions give identical keys, so the
 counts never depend on which one ran.
@@ -40,8 +42,8 @@ from .tokens import Token, as_token_seq
 # Every word edit (insertion, deletion, substitution) costs 1.
 WORD_COST_MILLI = 1000
 
-# The batched DP's keys stay below this, so each int64 sum it forms, even with
-# the impossible-substitution step added, is exact.
+# The batched DP runs only where every key stays below this; its int64 offset
+# keys then lie in (-2**62, 0], so each sum it forms is exact.
 _BATCH_KEY_LIMIT = 2 ** 62
 
 
@@ -173,6 +175,17 @@ def _batch_keys(ref_text: Sequence[Optional[str]],
                 hyp_texts: Sequence[Sequence[Optional[str]]], st_cost: int) -> Optional[List[int]]:
     """``_key_rows``'s final key of each hypothesis, from one numpy DP over them all.
 
+    Row i holds offset keys ``q = key - ins - D_i``: ``ins`` is each
+    hypothesis's insert chain (the sum of its first j insert steps) and
+    ``D_i`` the sum of the delete steps of reference rows 1..i.  A delete
+    then adds 0 and the insert chain is a plain prefix minimum, so each
+    reference row is three in-place calls on (H, W+1)-sized buffers: add the
+    diagonal steps, take the minimum with the row above, accumulate the
+    minimum along the row.  Deleting everything and then inserting everything
+    bounds every key, so ``q <= 0``; a key is >= 0, so ``q >= -(ins + D_i)``,
+    which the 2**62 guard bounds.  ``ins`` and ``D_n`` are added back once,
+    at the end, in Python ints.
+
     None when numpy is not loaded, or when the int64 DP would not be exact
     or has nothing to do: an empty reference, no hypothesis token at all, or
     a key that could reach 2**62.
@@ -193,32 +206,35 @@ def _batch_keys(ref_text: Sequence[Optional[str]],
     codes = np.full((len(hyp_texts), width), -2, dtype=np.int64)
     for row, hyp in zip(codes, hyp_texts):
         row[:len(hyp)] = [-1 if h is None else vocab.setdefault(h, len(vocab)) for h in hyp]
-    # padding steps like a word; no real column reads a padded one
-    steps = np.where(codes == -1, turn_step, word_step)
-    ins = np.zeros((len(hyp_texts), width + 1), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=ins[:, 1:])
-    # diagonal step of a word row against each token, and of a turn row;
-    # _BATCH_KEY_LIMIT where no substitution is allowed, so it never wins
-    word_diag = np.where(codes >= 0, word_step, _BATCH_KEY_LIMIT)
-    turn_diag = np.where(codes == -1, 0, _BATCH_KEY_LIMIT)
-    prev = ins
+    # Diagonal steps minus the delete and the insert step, so a delete then an
+    # insert adds 0: a forbidden substitution gets that 0 and never wins.
+    # Padding steps like a word; no real column reads a padded one.
+    turn_col = codes == -1
+    word_match = -2 * word_step
+    word_sub = np.where(turn_col, 0, -word_step)
+    turn_row = np.where(turn_col, -2 * turn_step, 0)
+    q = np.zeros((len(hyp_texts), width + 1), dtype=np.int64)
+    diag = np.empty((len(hyp_texts), width), dtype=np.int64)
     for r in ref_text:
         if r is None:
-            r_step, diag = turn_step, turn_diag
+            step = turn_row
         else:
             code = vocab.get(r)
-            r_step = word_step
-            diag = word_diag if code is None else np.where(codes == code, 0, word_diag)
-        # delete (and column 0), then match or substitute; on equal text the
-        # match is the minimum, the lemma _key_rows's forced match rests on
-        cur = prev + r_step
-        np.minimum(cur[:, 1:], prev[:, :-1] + diag, out=cur[:, 1:])
-        # the insert chain along the row is a prefix minimum
-        prev = ins + np.minimum.accumulate(cur - ins, axis=1)
+            step = word_sub if code is None else np.where(codes == code, word_match, word_sub)
+        # match or substitute, then delete; on equal text the match is the
+        # minimum, the lemma _key_rows's forced match rests on
+        np.add(q[:, :-1], step, out=diag)
+        np.minimum(q[:, 1:], diag, out=q[:, 1:])
+        # the insert chain
+        np.minimum.accumulate(q, axis=1, out=q)
+    # a sequence's chain of steps: a word step per token, plus the extra of each turn
+    extra = turn_step - word_step
+    deletes = n * word_step + ref_text.count(None) * extra
     keys = []
-    for key, m in zip(prev[np.arange(len(hyp_texts)), lengths].tolist(), lengths):
+    for offset, hyp in zip(q[np.arange(len(hyp_texts)), lengths].tolist(), hyp_texts):
+        key = offset + deletes + len(hyp) * word_step + hyp.count(None) * extra
         cost, turns = divmod(key, scale)
-        keys.append(cost * (n + m + 1) + turns)  # its own scale, as _counts_from_key reads it
+        keys.append(cost * (n + len(hyp) + 1) + turns)  # its own scale, as _counts_from_key reads it
     return keys
 
 

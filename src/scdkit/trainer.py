@@ -70,28 +70,24 @@ class TrainConfig:
             raise ValueError(f"nll_weight must be finite and >= 0, got {self.nll_weight}")
 
 
-TextSeq = Tuple[Optional[str], ...]
-
-
-def _seq_sort_key(seq: TextSeq):
-    # A word is never empty, so "" puts the turn marker before every word.
-    return (len(seq), tuple("" if t is None else t for t in seq))
+TextSeq = Tuple[str, ...]
 
 
 def _single_edits(seq: TextSeq, vocab: Sequence[str]):
     """All text tuples one token edit away: turn ins/del, word sub/ins/del.
 
-    ``None`` is the turn marker, as in :func:`scdkit.alignment.align`.
+    ``""`` is the turn marker: a word is never empty, so it sorts before
+    every word.
     """
     for pos in range(len(seq) + 1):
         head, tail = seq[:pos], seq[pos:]
-        yield head + (None,) + tail
+        yield head + ("",) + tail
         for w in vocab:
             yield head + (w,) + tail
     for pos, t in enumerate(seq):
         head, tail = seq[:pos], seq[pos + 1:]
         yield head + tail
-        if t is not None:
+        if t:
             for w in vocab:
                 if w != t:
                     yield head + (w,) + tail
@@ -116,26 +112,26 @@ def enumerate_candidates(reference: Sequence[Token], edit_budget: int,
     ref = as_token_seq(reference)
     tokens = {}
     for w in vocab:
-        # None would read as the turn marker in a text tuple
+        # a text tuple holds only str; word("") raises, so "" stays the turn marker
         if not isinstance(w, str):
             raise TypeError(f"vocab entries must be str, got {type(w).__name__}")
         tokens[w] = word(w)
     words = tuple(tokens)
-    tokens.update((t.text, t) for t in ref)
-    tokens[None] = SPEAKER_TURN
+    tokens.update((t.text, t) for t in ref if t.text is not None)
+    tokens[""] = SPEAKER_TURN
 
-    ref_text = tuple(t.text for t in ref)
+    ref_text = tuple(t.text or "" for t in ref)
     seen = {ref_text}
     frontier = [ref_text]
     for _ in range(edit_budget):
         frontier = set().union(*(_single_edits(seq, words) for seq in frontier)) - seen
         seen |= frontier
-    candidates = sorted(seen, key=_seq_sort_key)
+    candidates = sorted(sorted(seen), key=len)
     if len(candidates) > CANDIDATE_CAP:
         rng = random.Random(seed)
         others = [c for c in candidates if c != ref_text]
         kept = rng.sample(others, CANDIDATE_CAP - 1)
-        candidates = sorted(kept + [ref_text], key=_seq_sort_key)
+        candidates = sorted(sorted(kept + [ref_text]), key=len)
     return HypothesisSpace(utterance_id=utterance_id, reference=ref,
                            candidates=tuple(tuple(tokens[t] for t in c) for c in candidates))
 
@@ -155,8 +151,8 @@ def st_vs_word_space() -> HypothesisSpace:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    exp = np.exp(logits - logits.max())
-    return exp / exp.sum()
+    exp = np.exp(logits - np.maximum.reduce(logits))
+    return exp / np.add.reduce(exp)
 
 
 def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainTrace:
@@ -195,7 +191,7 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
             expected_fa=float(np.dot(p_sel, fa)),
             expected_fr=float(np.dot(p_sel, fr)),
             expected_w=float(np.dot(p_sel, w)),
-            argmax_candidate=int(np.argmax(logits)),
+            argmax_candidate=int(logits.argmax()),
         ))
         if step == config.steps:
             break

@@ -403,13 +403,29 @@ def test_batch_keys_equal_key_rows_long(st_cost):
         assert_batch_equals_pure(*random_nbest_list(rng, length, 0.15, "abcdefgh"), costs)
 
 
+# (reference, hypotheses) run at the largest turn cost the batch accepts:
+# unequal lengths give padding columns, and turn rows against word columns and
+# word rows against turn columns take the forbidden-substitution step
+GUARD_EDGE_LISTS = [
+    ("a <st> b", ["<st> a b", "a", ""]),
+    ("<st> <st> a <st> <st>", ["<st> a <st> <st> <st> b", "<st>", "a b c", "<st> <st>", ""]),
+    ("<st> <st> <st>", ["<st>", "<st> <st> <st> <st> <st>", "a", "a <st> b <st> c <st>"]),
+    ("a b <st> c d", ["<st> <st> <st> <st> <st> <st> <st> <st>", "d c <st> b a", "a"]),
+    ("a", ["<st> <st> <st> <st> <st> <st> <st> <st> <st> <st> <st> <st>"]),
+]
+
+
 def test_largest_cost_inside_the_key_bound_is_exact():
-    # n + M = 6 and scale 7: the largest cost whose top key stays below 2**62
-    ref, hyps = toks("a <st> b"), [toks("<st> a b"), toks("a"), ()]
-    st_cost = ((2 ** 62 - 1) // 6 - 1) // 7
-    assert 6 * (st_cost * 7 + 1) < 2 ** 62 <= 6 * ((st_cost + 1) * 7 + 1)
-    assert _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost) is not None
-    assert_batch_equals_pure(ref, hyps, AlignmentCosts(st_cost_milli=st_cost))
+    # numpy int64 wraps on overflow without a warning, so only keys equal to
+    # _key_rows's show that every value the batch forms fits
+    for ref_text, hyp_texts in GUARD_EDGE_LISTS:
+        ref, hyps = toks(ref_text), [toks(h) for h in hyp_texts]
+        top = len(ref) + max(map(len, hyps))  # n + M; the scale is n + M + 1
+        st_cost = ((2 ** 62 - 1) // top - 1) // (top + 1)
+        assert top * (st_cost * (top + 1) + 1) < 2 ** 62 <= top * ((st_cost + 1) * (top + 1) + 1)
+        assert _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost + 1) is None
+        assert _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost) is not None
+        assert_batch_equals_pure(ref, hyps, AlignmentCosts(st_cost_milli=st_cost))
 
 
 class TestBatchFallback:
