@@ -13,18 +13,18 @@ _NAMES = {
     "tokens": ("SPEAKER_TURN", "ST_TEXT", "Token", "word"),
     "alignment": ("Alignment", "AlignmentCosts", "EditOp", "ErrorCounts", "OpKind", "align",
                   "align_counts"),
-    "risk": ("LossBreakdown", "NBest", "RiskConfig", "RiskKind", "ScoredHypothesis", "batch_loss",
-             "expected_risk", "per_hyp_risk", "risk_gradient"),
+    "risk": ("NBest", "RiskConfig", "ScoredHypothesis", "batch_loss", "expected_risk",
+             "per_hyp_risk", "risk_gradient"),
     "trainer": ("HypothesisSpace", "TrainConfig", "enumerate_candidates", "st_vs_word_space",
                 "train"),
     "metrics": ("Annotation", "ChangeHypothesis", "PrecisionRecallReport", "SegmentationReport",
                 "SpeakerSegment", "change_intervals", "f1_score", "mono_speaker_ranges",
                 "pooled_precision_recall", "pooled_segmentation", "purity_coverage",
                 "score_changes"),
-    "dataio": ("DataFormatError", "TrainStep", "TrainTrace", "parse_change_stamps", "parse_nbest",
-               "parse_rttm", "read_report", "segment_longform", "serialize_change_stamps",
-               "serialize_nbest", "serialize_rttm", "tokenize_transcript", "write_report",
-               "write_trace"),
+    "dataio": ("DataFormatError", "LossBreakdown", "RiskKind", "TrainStep", "TrainTrace",
+               "parse_change_stamps", "parse_nbest", "parse_rttm", "read_report",
+               "segment_longform", "serialize_change_stamps", "serialize_nbest", "serialize_rttm",
+               "tokenize_transcript", "write_report", "write_trace"),
 }
 _MODULE = {name: module for module, names in _NAMES.items() for name in names}
 __all__ = list(_MODULE)

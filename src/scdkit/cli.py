@@ -2,6 +2,10 @@
 
 Results go to stdout (or --out); diagnostics go to stderr.  Exit codes:
 0 success, 1 usage error, 2 data error.
+
+Each subcommand imports what only it runs: ``align`` and ``risk`` the
+alignment and risk modules, ``train-toy`` the trainer and numpy, so that
+``score`` and ``segment`` start with the readers and metrics alone.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .alignment import AlignmentCosts, OpKind, align
 from .dataio import (
     MACHINE,
     TABLE,
     DataFormatError,
+    RiskKind,
     _pct,
     _precision_recall_rows,
     _report_object,
@@ -41,8 +45,10 @@ from .metrics import (
     purity_coverage,
     score_changes,
 )
-from .risk import NBest, RiskConfig, RiskKind, expected_risk, pooled_loss
-from .tokens import seq_to_text
+
+if TYPE_CHECKING:
+    from .alignment import AlignmentCosts
+    from .risk import NBest, RiskConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,6 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _costs_arg(text: str) -> AlignmentCosts:
+    from .alignment import AlignmentCosts
+
     try:
         return AlignmentCosts.from_k(text)
     except ValueError as exc:
@@ -142,6 +150,8 @@ def _add_risk_flags(p: argparse.ArgumentParser) -> None:
 
 def _risk_config(args, normalize: bool = True,
                  kind: RiskKind = RiskKind.SCD_WEIGHTED) -> RiskConfig:
+    from .risk import RiskConfig
+
     return RiskConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
                       costs=args.k, normalize_scores=normalize, risk_kind=kind)
 
@@ -221,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _op_line(op, ref, hyp) -> str:
+    from .alignment import OpKind
+
     if op.kind in (OpKind.MATCH, OpKind.WORD_SUB):
         return (f"op {op.kind.value:<8} ref[{op.ref_index}]={ref[op.ref_index]} "
                 f"hyp[{op.hyp_index}]={hyp[op.hyp_index]}")
@@ -230,6 +242,8 @@ def _op_line(op, ref, hyp) -> str:
 
 
 def cmd_align(args) -> int:
+    from .alignment import align
+
     ref = tokenize_transcript(_read_text(args.ref))
     hyp = tokenize_transcript(_read_text(args.hyp))
     result = align(ref, hyp, args.k)
@@ -251,6 +265,8 @@ def cmd_align(args) -> int:
 
 
 def _top_hypotheses(nbest: NBest, n: Optional[int]) -> NBest:
+    from .risk import NBest
+
     if n is None or n >= len(nbest.hypotheses):
         return nbest
     ranked = sorted(range(len(nbest.hypotheses)),
@@ -260,6 +276,8 @@ def _top_hypotheses(nbest: NBest, n: Optional[int]) -> NBest:
 
 
 def cmd_risk(args) -> int:
+    from .risk import expected_risk, pooled_loss
+
     records = parse_nbest(_read_text(args.nbest), source=args.nbest)
     config = _risk_config(args, normalize=args.normalize, kind=RiskKind(args.risk_kind))
     records = [_top_hypotheses(nb, args.nbest_n) for nb in records]
@@ -285,6 +303,7 @@ def cmd_risk(args) -> int:
 
 def cmd_train_toy(args) -> int:
     # The trainer imports numpy; the other subcommands start without it.
+    from .tokens import seq_to_text
     from .trainer import TrainConfig, enumerate_candidates, st_vs_word_space, train
 
     if args.scenario:

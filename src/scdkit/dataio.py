@@ -17,10 +17,10 @@ double holds exactly.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
+from enum import Enum
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 from .metrics import (
     Annotation,
@@ -30,17 +30,28 @@ from .metrics import (
     SpeakerSegment,
     _ms,
 )
-from .risk import LossBreakdown, NBest, ScoredHypothesis
-from .tokens import SPEAKER_TURN, ST_TEXT, Token, TokenSeq, seq_to_text, word
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .risk import NBest
+    from .tokens import TokenSeq
 
-# group 1 is the integer part without leading zeros
-_SECONDS_RE = re.compile(r"^-?0*(\d+)(\.\d{1,3})?$")
+# ``score`` and ``segment`` run only the RTTM and stamps readers, so the
+# transcript and N-best codecs import the token alphabet and the risk
+# records where they run, and ``logging`` loads with the first warning.
+
+# groups: the sign, the integer part without leading zeros, the fraction digits
+_SECONDS_RE = re.compile(r"^(-?)0*(\d+)(?:\.(\d{1,3}))?$")
 
 
 class DataFormatError(ValueError):
     """Malformed input; a reader's message carries the file/line position."""
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning on this module's logger, importing ``logging`` on the first one."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _at(where: str, parse: Callable, text: str):
@@ -58,15 +69,23 @@ def _records(text: str, source: str, parse_line: Callable) -> List:
             for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def parse_seconds(text: str) -> float:
+def _parse_ms(text: str) -> int:
+    """The exact milliseconds a decimal seconds text spells, read from its digits."""
     m = _SECONDS_RE.match(text)
     if not m:
         raise DataFormatError(
             f"{text!r} is not a decimal number of seconds (at most 3 fractional digits)")
+    sign, whole, fraction = m.groups()
     # the bound of metrics._ms, checked on the text so that the error names it
-    if len(m[1]) > 12:
+    if len(whole) > 12:
         raise DataFormatError(f"{text!r} is not below 10**12 s in magnitude")
-    return float(text)
+    ms = int(whole + (fraction or "").ljust(3, "0"))
+    return -ms if sign else ms
+
+
+def parse_seconds(text: str) -> float:
+    # correctly rounded, so the same double as float(text), but never -0.0
+    return _parse_ms(text) / 1000
 
 
 def format_seconds(value: float) -> str:
@@ -88,20 +107,31 @@ def _json_object(text: str) -> Dict:
 # ---------------------------------------------------------------------------
 # transcripts
 
+def _tokenizer() -> Callable[[str], TokenSeq]:
+    """``tokenize_transcript``, with the token alphabet imported once for
+    every transcript it reads."""
+    from .tokens import SPEAKER_TURN, ST_TEXT, word
+
+    def tokenize(text: str) -> TokenSeq:
+        out = []
+        for raw in text.split():
+            if raw == ST_TEXT:
+                out.append(SPEAKER_TURN)
+                continue
+            folded = raw.casefold()
+            if folded == ST_TEXT:
+                raise DataFormatError(
+                    f"word {raw!r} case-folds to the reserved turn marker {ST_TEXT!r}")
+            out.append(word(folded))
+        return tuple(out)
+
+    return tokenize
+
+
 def tokenize_transcript(text: str) -> TokenSeq:
     """Whitespace-split into tokens; the literal turn marker is matched
     before case folding, so a word that merely folds to it is an error."""
-    out: List[Token] = []
-    for raw in text.split():
-        if raw == ST_TEXT:
-            out.append(SPEAKER_TURN)
-            continue
-        folded = raw.casefold()
-        if folded == ST_TEXT:
-            raise DataFormatError(
-                f"word {raw!r} case-folds to the reserved turn marker {ST_TEXT!r}")
-        out.append(word(folded))
-    return tuple(out)
+    return _tokenizer()(text)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +148,13 @@ def _rttm_line(line: str) -> Optional[Tuple[str, SpeakerSegment]]:
         int(fields[2])
     except ValueError:
         raise DataFormatError(f"channel must be an integer, got {fields[2]!r}")
-    onset = parse_seconds(fields[3])
-    duration = parse_seconds(fields[4])
+    onset = _parse_ms(fields[3])
+    duration = _parse_ms(fields[4])
     if onset < 0:
         raise DataFormatError(f"negative onset {fields[3]}")
     if duration <= 0:
         raise DataFormatError(f"segment duration must be positive, got {fields[4]}")
-    return fields[1], SpeakerSegment(fields[7], onset, round(onset + duration, 3))
+    return fields[1], SpeakerSegment._from_ms(fields[7], onset, onset + duration)
 
 
 def parse_rttm(text: str, source: str = "<rttm>") -> List[Annotation]:
@@ -139,7 +169,7 @@ def parse_rttm(text: str, source: str = "<rttm>") -> List[Annotation]:
             segments.setdefault(record[0], []).append(record[1])
     ignored = records.count(None)
     if ignored:
-        logger.warning("%s: ignored %d non-SPEAKER lines", source, ignored)
+        _warn("%s: ignored %d non-SPEAKER lines", source, ignored)
     if not segments:
         raise DataFormatError(f"{source}: no SPEAKER records found")
     return [Annotation(file_id, tuple(segs)) for file_id, segs in segments.items()]
@@ -192,38 +222,43 @@ def serialize_change_stamps(hypotheses: Sequence[ChangeHypothesis]) -> str:
 # ---------------------------------------------------------------------------
 # N-best lists
 
-def _nbest_line(line: str) -> NBest:
-    # str.strip, not json.loads, decides which whitespace may surround a record
-    rec = _json_object(line.strip())
-    try:
-        utt_id = rec["utterance_id"]
-        reference = rec["reference"]
-        hyp_list = rec["hypotheses"]
-    except KeyError as exc:
-        raise DataFormatError(f"missing field {exc}") from exc
-    if not isinstance(reference, str):
-        raise DataFormatError("reference must be a string")
-    if not isinstance(hyp_list, list) or not hyp_list:
-        raise DataFormatError("hypotheses must be a non-empty list")
-    ref_tokens = tokenize_transcript(reference)
-    hyps = []
-    for h in hyp_list:
-        if not isinstance(h, dict) or "text" not in h or "log_score" not in h:
-            raise DataFormatError("each hypothesis needs text and log_score")
-        if not isinstance(h["text"], str):
-            raise DataFormatError("hypothesis text must be a string")
-        hyps.append(ScoredHypothesis(tokenize_transcript(h["text"]), h["log_score"]))
-    return NBest(utt_id, ref_tokens, tuple(hyps))
-
-
 def parse_nbest(text: str, source: str = "<nbest>") -> List[NBest]:
-    out = _records(text, source, _nbest_line)
+    from .risk import NBest, ScoredHypothesis
+
+    tokenize = _tokenizer()
+
+    def parse_line(line: str) -> NBest:
+        # str.strip, not json.loads, decides which whitespace may surround a record
+        rec = _json_object(line.strip())
+        try:
+            utt_id = rec["utterance_id"]
+            reference = rec["reference"]
+            hyp_list = rec["hypotheses"]
+        except KeyError as exc:
+            raise DataFormatError(f"missing field {exc}") from exc
+        if not isinstance(reference, str):
+            raise DataFormatError("reference must be a string")
+        if not isinstance(hyp_list, list) or not hyp_list:
+            raise DataFormatError("hypotheses must be a non-empty list")
+        ref_tokens = tokenize(reference)
+        hyps = []
+        for h in hyp_list:
+            if not isinstance(h, dict) or "text" not in h or "log_score" not in h:
+                raise DataFormatError("each hypothesis needs text and log_score")
+            if not isinstance(h["text"], str):
+                raise DataFormatError("hypothesis text must be a string")
+            hyps.append(ScoredHypothesis(tokenize(h["text"]), h["log_score"]))
+        return NBest(utt_id, ref_tokens, tuple(hyps))
+
+    out = _records(text, source, parse_line)
     if not out:
         raise DataFormatError(f"{source}: no records found")
     return out
 
 
 def serialize_nbest(records: Sequence[NBest]) -> str:
+    from .tokens import seq_to_text
+
     lines = []
     for nb in records:
         obj = {
@@ -265,7 +300,7 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
             win_end = max(win_end, end)
             count += 1
         if end - start > target_ms and count == 1:
-            logger.warning(
+            _warn(
                 "%s: segment [%s, %s] is longer than the %s s target; kept whole",
                 annotation.recording_id, start / 1000, end / 1000, target)
         if win_end - win_start >= target_ms and (idx + 1 == len(spans)
@@ -278,8 +313,29 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# training trace records: what ``trainer.train`` returns and the trace codec
-# below writes and reads, defined here so that the codec does not load numpy
+# loss and training trace records: what ``risk`` and ``trainer.train`` return
+# and the report and trace codecs below write and read, defined here so that
+# the codecs load neither the risk path nor numpy.  RiskKind is here too, so
+# that the CLI lists its values without loading the risk path.
+
+class RiskKind(str, Enum):
+    # weighted turn-aware risk, normalized by reference length
+    SCD_WEIGHTED = "scd_weighted"
+    # plain expected-number-of-errors risk used by word-error-rate training
+    WORD_ERROR_ONLY = "word_error_only"
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    per_hyp_risk: Tuple[float, ...]
+    per_hyp_prob: Tuple[float, ...]
+    expected_risk: float
+    nll_term: float
+    total: float
+    expected_fa: float
+    expected_fr: float
+    expected_w: float
+
 
 @dataclass(frozen=True)
 class TrainStep:

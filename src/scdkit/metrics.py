@@ -39,6 +39,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 Span = Tuple[int, int]
 Coverage = Dict[str, Tuple[Span, ...]]
 
+# 10**12 s in ms, the magnitude every time stays below (see ``_ms``)
+_MS_BOUND = 1e15
+
+
+def _ms_error(what: str, seconds: float, unit: str = " s") -> ValueError:
+    return ValueError(f"{what} must be finite, below 10**12{unit} in magnitude and with at most "
+                      f"3 decimal places, got {seconds!r}")
+
 
 def _ms(seconds: float, what: str, unit: str = " s") -> int:
     """``seconds`` as exact integer milliseconds.
@@ -54,12 +62,11 @@ def _ms(seconds: float, what: str, unit: str = " s") -> int:
     quantity other than seconds.
     """
     scaled = seconds * 1000
-    if -1e15 < scaled < 1e15:
+    if -_MS_BOUND < scaled < _MS_BOUND:
         ms = round(scaled)
         if ms / 1000 == seconds:
             return ms
-    raise ValueError(f"{what} must be finite, below 10**12{unit} in magnitude and with at most "
-                     f"3 decimal places, got {seconds!r}")
+    raise _ms_error(what, seconds, unit)
 
 
 def _check_id(what: str, value: str) -> None:
@@ -78,15 +85,34 @@ class SpeakerSegment:
 
     def __post_init__(self) -> None:
         _check_id("speaker id", self.speaker)
-        start_ms, end_ms = span = tuple(
-            _ms(t, f"segment [{self.start}, {self.end}] of {self.speaker!r}")
-            for t in (self.start, self.end))
+        what = self._what()
+        self._set_span(_ms(self.start, what), _ms(self.end, what))
+
+    @classmethod
+    def _from_ms(cls, speaker: str, start_ms: int, end_ms: int) -> SpeakerSegment:
+        """The segment ``[start_ms, end_ms]`` of times given in integer ms,
+        under the constructor's rules but with no seconds-to-ms conversion."""
+        _check_id("speaker id", speaker)
+        seg = cls.__new__(cls)
+        object.__setattr__(seg, "speaker", speaker)
+        object.__setattr__(seg, "start", start_ms / 1000)
+        object.__setattr__(seg, "end", end_ms / 1000)
+        seg._set_span(start_ms, end_ms)
+        return seg
+
+    def _what(self) -> str:
+        return f"segment [{self.start}, {self.end}] of {self.speaker!r}"
+
+    def _set_span(self, start_ms: int, end_ms: int) -> None:
+        """Store the span after the rules on it: a start of at least 0, a
+        positive duration, and so, with the end below 10**12 s, both times."""
         if start_ms < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
         if end_ms <= start_ms:
-            raise ValueError(
-                f"segment [{self.start}, {self.end}] of {self.speaker!r} has no duration")
-        object.__setattr__(self, "span", span)
+            raise ValueError(f"{self._what()} has no duration")
+        if end_ms >= _MS_BOUND:
+            raise _ms_error(self._what(), self.end)
+        object.__setattr__(self, "span", (start_ms, end_ms))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, align_counts_batch
+from .dataio import LossBreakdown, RiskKind
 from .tokens import Token, TokenSeq, as_token_seq
 
 # exp(log_score) above this is not a probability, nor a sum of them above _MAX_PROB
@@ -28,13 +28,6 @@ def _finite(v: float) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
-
-
-class RiskKind(str, Enum):
-    # weighted turn-aware risk, normalized by reference length
-    SCD_WEIGHTED = "scd_weighted"
-    # plain expected-number-of-errors risk used by word-error-rate training
-    WORD_ERROR_ONLY = "word_error_only"
 
 
 @dataclass(frozen=True)
@@ -88,18 +81,6 @@ class RiskConfig:
             raise TypeError(f"costs must be an AlignmentCosts, got {type(self.costs).__name__}")
         # a plain string compares equal to its member but fails the `is` test
         object.__setattr__(self, "risk_kind", RiskKind(self.risk_kind))
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    per_hyp_risk: Tuple[float, ...]
-    per_hyp_prob: Tuple[float, ...]
-    expected_risk: float
-    nll_term: float
-    total: float
-    expected_fa: float
-    expected_fr: float
-    expected_w: float
 
 
 def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],

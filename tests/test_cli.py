@@ -52,6 +52,15 @@ def test_score_unknown_recording_is_data_error(tmp_path):
     assert "nosuchrec" in proc.stderr
 
 
+def test_score_reports_ignored_rttm_lines_on_stderr(tmp_path):
+    ref = tmp_path / "ref.rttm"
+    ref.write_text("LEXEME fig1 1 0.00 1.00 x\n" + (FIXTURES / "fig1.rttm").read_text())
+    proc = run_cli("score", "--ref", str(ref), "--hyp", str(FIXTURES / "fig1.stamps"))
+    assert proc.returncode == 0
+    assert proc.stderr == f"{ref}: ignored 1 non-SPEAKER lines\n"
+    assert proc.stdout == (FIXTURES / "golden" / "score-fig1-table.stdout").read_text()
+
+
 def test_align_identity(tmp_path):
     ref = FIXTURES / "ref_a.txt"
     proc = run_cli("align", "--ref", str(ref), "--hyp", str(ref), check=True)

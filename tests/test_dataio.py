@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -141,11 +142,21 @@ class TestRttm:
         ("", "f.rttm: no SPEAKER records found"),
         ("SPEAKER rec1 1 99999999999999.999 1.00 <NA> <NA> A <NA> <NA>",
          "f.rttm:2: '99999999999999.999' is not below 10**12 s in magnitude"),
+        # onset and duration in range, their sum not: the segment's own rule
+        ("SPEAKER rec1 1 999999999999.999 0.002 <NA> <NA> A <NA> <NA>",
+         "f.rttm:2: segment [999999999999.999, 1000000000000.001] of 'A' must be finite, "
+         "below 10**12 s in magnitude and with at most 3 decimal places, "
+         "got 1000000000000.001"),
     ])
     def test_error_messages_exact(self, line, message):
         with pytest.raises(DataFormatError) as info:
             parse_rttm("\n" + line, source="f.rttm")
         assert str(info.value) == message
+
+    def test_negative_zero_onset_reads_as_zero(self):
+        [a] = parse_rttm("SPEAKER r 1 -0.000 1.5 <NA> <NA> A <NA> <NA>\n")
+        assert a.segments[0] == SpeakerSegment("A", 0.0, 1.5)
+        assert math.copysign(1, a.segments[0].start) == 1
 
     def test_serialize_line_exact(self):
         a = Annotation("rec1", (SpeakerSegment("A", 1.5, 3.25), SpeakerSegment("B", 0.001, 12.0)))
