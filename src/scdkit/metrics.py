@@ -25,7 +25,8 @@ concurrent speakers.
 Time is exact integer milliseconds inside this module.  The public types
 keep float seconds, and every time passes through ``_ms`` once: the
 segment and hypothesis constructors store its result, and the metric
-functions convert only their own arguments.  Spans are closed
+functions convert only their own arguments.  The RTTM reader, which reads
+ms from the text, builds segments with ``SpeakerSegment._from_ms``.  Spans are closed
 ``(start_ms, end_ms)`` pairs; every comparison, overlap and duration sum
 is integer arithmetic, and reports divide by 1000 once.
 """
@@ -104,8 +105,9 @@ class SpeakerSegment:
         return f"segment [{self.start}, {self.end}] of {self.speaker!r}"
 
     def _set_span(self, start_ms: int, end_ms: int) -> None:
-        """Store the span after the rules on it: a start of at least 0, a
-        positive duration, and so, with the end below 10**12 s, both times."""
+        """Check the segment rules on its times in ms, then store them: a
+        start of at least 0, a positive duration and an end below 10**12 s,
+        which with the other two bounds the start as well."""
         if start_ms < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
         if end_ms <= start_ms:
