@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import _ms
-from .tokens import Token, as_token_seq
+from .tokens import Token, TokenSeq, as_token_seq
 
 # Every word edit (insertion, deletion, substitution) costs 1.
 WORD_COST_MILLI = 1000
@@ -270,9 +270,15 @@ def align_counts_batch(reference: Sequence[Token], hypotheses: Iterable[Sequence
     the batch is exact (see the module docstring); else one pure DP per
     hypothesis.  Both give the same counts.
     """
-    ref_text = [t.text for t in as_token_seq(reference)]
-    hyp_texts = [[t.text for t in as_token_seq(h)] for h in hypotheses]
-    st_cost = costs.st_cost_milli
+    return _counts_batch(as_token_seq(reference), [as_token_seq(h) for h in hypotheses],
+                         costs.st_cost_milli)
+
+
+def _counts_batch(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
+                  st_cost: int) -> List[ErrorCounts]:
+    """``align_counts_batch`` of token tuples its caller has already checked."""
+    ref_text = [t.text for t in reference]
+    hyp_texts = [[t.text for t in h] for h in hypotheses]
     keys = _batch_keys(ref_text, hyp_texts, st_cost)
     if keys is None:
         keys = [_key_rows(ref_text, h, st_cost, keep_rows=False)[-1][-1] for h in hyp_texts]

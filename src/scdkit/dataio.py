@@ -33,7 +33,7 @@ from .metrics import (
 
 if TYPE_CHECKING:
     from .risk import NBest
-    from .tokens import TokenSeq
+    from .tokens import Token, TokenSeq
 
 # ``score`` and ``segment`` run only the RTTM and stamps readers, so the
 # transcript and N-best codecs import the token alphabet and the risk
@@ -109,21 +109,25 @@ def _json_object(text: str) -> Dict:
 
 def _tokenizer() -> Callable[[str], TokenSeq]:
     """``tokenize_transcript``, with the token alphabet imported once for
-    every transcript it reads."""
+    every transcript it reads, and one ``Token`` per distinct raw word."""
     from .tokens import SPEAKER_TURN, ST_TEXT, word
 
+    # raw word -> its token, for the transcripts of one reader call.  A word
+    # that fails is never stored, so each of its occurrences raises.
+    table = {ST_TEXT: SPEAKER_TURN}
+
+    def new_token(raw: str) -> Token:
+        folded = raw.casefold()
+        if folded == ST_TEXT:
+            raise DataFormatError(
+                f"word {raw!r} case-folds to the reserved turn marker {ST_TEXT!r}")
+        token = table[raw] = word(folded)
+        return token
+
     def tokenize(text: str) -> TokenSeq:
-        out = []
-        for raw in text.split():
-            if raw == ST_TEXT:
-                out.append(SPEAKER_TURN)
-                continue
-            folded = raw.casefold()
-            if folded == ST_TEXT:
-                raise DataFormatError(
-                    f"word {raw!r} case-folds to the reserved turn marker {ST_TEXT!r}")
-            out.append(word(folded))
-        return tuple(out)
+        lookup = table.get
+        # a Token is always true, so ``or`` builds only the words not yet seen
+        return tuple([lookup(raw) or new_token(raw) for raw in text.split()])
 
     return tokenize
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, align_counts_batch
+from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, _counts_batch
 from .dataio import LossBreakdown, RiskKind
 from .tokens import Token, TokenSeq, as_token_seq
 
@@ -83,26 +83,34 @@ class RiskConfig:
         object.__setattr__(self, "risk_kind", RiskKind(self.risk_kind))
 
 
+def _risk_rows(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
+               config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
+    """``hypothesis_errors`` of token tuples its caller has already checked.
+
+    The one place in the risk path that aligns: the whole list goes to
+    ``alignment._counts_batch`` in one call, and no path is built.
+    """
+    weighted = config.risk_kind is RiskKind.SCD_WEIGHTED
+    rows = []
+    for c in _counts_batch(reference, hypotheses, config.costs.st_cost_milli):
+        risk = ((config.alpha * c.word_errors + config.beta * c.st_insertions
+                 + config.gamma * c.st_deletions) / len(reference)
+                if weighted else float(c.total_errors))
+        rows.append((risk, c))
+    return rows
+
+
 def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],
                       config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
     """(risk, error counts) of each hypothesis, aligned once against ``reference``.
 
-    The one place in the risk path that aligns: the whole list goes to
-    ``align_counts_batch`` in one call, and no path is built.  The risk is
-    (alpha*W + beta*FA + gamma*FR) / |reference| for the turn-weighted
-    kind and raw W + FA + FR for the word-error-only kind.
+    The risk is (alpha*W + beta*FA + gamma*FR) / |reference| for the
+    turn-weighted kind and raw W + FA + FR for the word-error-only kind.
     """
     ref = as_token_seq(reference)
-    weighted = config.risk_kind is RiskKind.SCD_WEIGHTED
-    if weighted and not ref:
+    if config.risk_kind is RiskKind.SCD_WEIGHTED and not ref:
         raise ValueError("reference must contain at least one token")
-    rows = []
-    for c in align_counts_batch(ref, hypotheses, config.costs):
-        risk = ((config.alpha * c.word_errors + config.beta * c.st_insertions
-                 + config.gamma * c.st_deletions) / len(ref)
-                if weighted else float(c.total_errors))
-        rows.append((risk, c))
-    return rows
+    return _risk_rows(ref, [as_token_seq(h) for h in hypotheses], config)
 
 
 def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
@@ -111,9 +119,10 @@ def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
 
     Raises ``ValueError`` when the risk overflows to a non-finite value.
     """
-    if not as_token_seq(reference):
+    ref = as_token_seq(reference)
+    if not ref:
         raise ValueError("reference must contain at least one token")
-    risk = hypothesis_errors(reference, (hypothesis,), config)[0][0]
+    risk = _risk_rows(ref, [as_token_seq(hypothesis)], config)[0][0]
     if not math.isfinite(risk):
         raise ValueError(f"risk is not finite ({risk}): the risk weights are too large")
     return risk
@@ -162,7 +171,8 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
     if last is not None and last[0] is nbest and last[1] == config:
         return last[2]
     probs = hypothesis_probs(nbest, config.normalize_scores)
-    rows = hypothesis_errors(nbest.reference, (h.tokens for h in nbest.hypotheses), config)
+    # NBest checked its tokens when it was built
+    rows = _risk_rows(nbest.reference, [h.tokens for h in nbest.hypotheses], config)
     exp_risk = exp_fa = exp_fr = exp_w = 0.0
     for p, (r, counts) in zip(probs, rows):
         exp_risk += p * r

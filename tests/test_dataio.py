@@ -1,6 +1,11 @@
+import gc
+import importlib.util
+import json
 import logging
 import math
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -316,6 +321,95 @@ class TestNBestFile:
         rng = random.Random(200 + seed)
         records = [random_nbest_record(rng, f"utt{i}") for i in range(rng.randint(1, 5))]
         assert parse_nbest(serialize_nbest(records)) == records
+
+
+def _bench_inputs():
+    """``bench/inputs.py``, the benchmark's seeded input generator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_tokens(text):
+    """A transcript's tokens, one ``Token`` built per word through the public constructors."""
+    return tuple(SPEAKER_TURN if w == ST_TEXT else word(w.casefold()) for w in text.split())
+
+
+def _oracle_nbest(line):
+    obj = json.loads(line)
+    return NBest(obj["utterance_id"], _oracle_tokens(obj["reference"]),
+                 tuple(ScoredHypothesis(_oracle_tokens(h["text"]), h["log_score"])
+                       for h in obj["hypotheses"]))
+
+
+def _recased(rng, text):
+    """``text`` with some words upper- or title-cased; the turn marker is kept as is."""
+    return " ".join(w if w == ST_TEXT or rng.random() < 0.5
+                    else rng.choice((w.upper(), w.title())) for w in text.split())
+
+
+class TestNBestTokenTable:
+    """``parse_nbest`` builds one ``Token`` per distinct raw word of a call."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_one_token_per_word(self, seed):
+        rng = random.Random(seed)
+        lines = []
+        for line in _bench_inputs().nbest_lines(rng, 8, rng.choice((3, 12, 40)), 4).splitlines():
+            obj = json.loads(line)
+            obj["reference"] = _recased(rng, obj["reference"])
+            for h in obj["hypotheses"]:
+                h["text"] = _recased(rng, h["text"])
+            lines.append(json.dumps(obj))
+        text = "\n".join(lines)
+        assert text != text.lower()  # some words were recased
+        assert parse_nbest(text) == [_oracle_nbest(line) for line in lines]
+
+    def test_a_raw_word_is_one_token_within_a_call(self):
+        [nb] = parse_nbest('{"utterance_id": "u", "reference": "hello <st> world hello", '
+                           '"hypotheses": [{"text": "hello world", "log_score": -1}, '
+                           '{"text": "HELLO <st> Hello", "log_score": -2}]}')
+        ref, (first, second) = nb.reference, nb.hypotheses
+        assert ref[0] is ref[3] is first.tokens[0]
+        assert ref[2] is first.tokens[1]
+        assert ref[1] is second.tokens[1] is SPEAKER_TURN
+        assert second.tokens[0] == second.tokens[2] == ref[0]
+
+    def test_case_variants_align_as_a_match(self, tmp_path, capsys):
+        from scdkit.cli import main
+
+        nbest = tmp_path / "n.jsonl"
+        nbest.write_text('{"utterance_id": "u", "reference": "Hello <st> world", '
+                         '"hypotheses": [{"text": "HELLO <st> WORLD", "log_score": -1}]}\n')
+        assert main(["risk", "--nbest", str(nbest), "--format", MACHINE]) == 0
+        report = json.loads(capsys.readouterr().out)["utterances"][0]["report"]
+        assert report["per_hyp_risk"] == [0.0]
+        assert report["expected_w"] == 0.0
+
+    def test_calls_share_no_table(self):
+        line = ('{"utterance_id": "u", "reference": "hello world", '
+                '"hypotheses": [{"text": "hello", "log_score": -1}]}')
+        [a], [b] = parse_nbest(line), parse_nbest(line)
+        assert a == b and a.reference[0] is not b.reference[0]
+        assert tokenize_transcript("hello")[0] is not tokenize_transcript("hello")[0]
+        # nothing outlives the call: the records were the only owners of their tokens
+        kept = weakref.ref(a.reference[0])
+        del a, b
+        gc.collect()
+        assert kept() is None
+
+    def test_case_fold_error_names_its_first_line(self, tmp_path):
+        path = tmp_path / "n.jsonl"
+        path.write_text("".join(
+            json.dumps({"utterance_id": f"u{i}", "reference": ref,
+                        "hypotheses": [{"text": "a b", "log_score": -1}]}) + "\n"
+            for i, ref in enumerate(["a b <st> c", "a <St> b", "a b", "<St> c"])))
+        with pytest.raises(DataFormatError) as info:
+            parse_nbest(path.read_text(), source=str(path))
+        assert str(info.value) == (f"{path}:2: word '<St>' case-folds to the reserved "
+                                   "turn marker '<st>'")
 
 
 def ann(rec_id, *segs):

@@ -305,10 +305,11 @@ class TestGradient:
 
 @pytest.fixture
 def align_calls(monkeypatch):
-    """Hypotheses passed to ``align_counts`` or ``align_counts_batch`` by any
-    scdkit module, in call order."""
+    """Hypotheses passed to ``align_counts`` or to the batched DP's entry
+    ``_counts_batch`` (which ``align_counts_batch`` calls) by any scdkit
+    module, in call order."""
     calls = []
-    single, batch = alignment.align_counts, alignment.align_counts_batch
+    single, batch = alignment.align_counts, alignment._counts_batch
 
     def counted_single(reference, hypothesis, *args, **kwargs):
         calls.append(tuple(hypothesis))
@@ -322,7 +323,7 @@ def align_calls(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("scdkit."):
             for attr, original, counted in (("align_counts", single, counted_single),
-                                            ("align_counts_batch", batch, counted_batch)):
+                                            ("_counts_batch", batch, counted_batch)):
                 if vars(mod).get(attr) is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
