@@ -31,12 +31,11 @@ counts never depend on which one ran.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .metrics import _ms
+from .metrics import _Record, _ms
 from .tokens import Token, TokenSeq, as_token_seq
 
 # Every word edit (insertion, deletion, substitution) costs 1.
@@ -47,8 +46,7 @@ WORD_COST_MILLI = 1000
 _BATCH_KEY_LIMIT = 2 ** 62
 
 
-@dataclass(frozen=True)
-class AlignmentCosts:
+class AlignmentCosts(_Record):
     """Turn-marker insert/delete cost in exact integer milli-units."""
 
     st_cost_milli: int = 1100
@@ -90,8 +88,7 @@ class OpKind(str, Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(_Record):
     kind: OpKind
     ref_index: Optional[int] = None
     hyp_index: Optional[int] = None
@@ -109,8 +106,7 @@ class EditOp:
             raise ValueError(f"bad index combination for {self.kind}: {self}")
 
 
-@dataclass(frozen=True)
-class ErrorCounts:
+class ErrorCounts(_Record):
     """Word errors plus turn-marker confusion counts.
 
     ``st_insertions`` are false accepts (a predicted turn with no reference
@@ -127,8 +123,7 @@ class ErrorCounts:
         return self.word_errors + self.st_insertions + self.st_deletions
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(_Record):
     ops: Tuple[EditOp, ...]
     cost_milli: int
     counts: ErrorCounts
@@ -248,9 +243,10 @@ def _counts_from_key(key: int, ref_text: Sequence[Optional[str]],
     cost, turn_errors = divmod(key, len(ref_text) + len(hyp_text) + 1)
     hyp_turns = hyp_text.count(None)
     fa = (turn_errors + hyp_turns - ref_text.count(None)) // 2
-    return cost, ErrorCounts(
-        word_errors=(cost - st_cost * turn_errors) // WORD_COST_MILLI,
-        st_insertions=fa, st_deletions=turn_errors - fa, st_correct=hyp_turns - fa)
+    # by position, once per hypothesis aligned: word_errors, st_insertions,
+    # st_deletions, st_correct
+    return cost, ErrorCounts((cost - st_cost * turn_errors) // WORD_COST_MILLI,
+                             fa, turn_errors - fa, hyp_turns - fa)
 
 
 def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],

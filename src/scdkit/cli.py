@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
 from .dataio import (
@@ -122,7 +121,8 @@ def _nbest_n_arg(text: str) -> Optional[int]:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -130,7 +130,8 @@ def _read_text(path: str) -> str:
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise DataFormatError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import (
     Annotation,
@@ -29,6 +28,7 @@ from .metrics import (
     SegmentationReport,
     SpeakerSegment,
     _ms,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -207,7 +207,9 @@ def parse_change_stamps(text: str, source: str = "<stamps>") -> List[ChangeHypot
             raise DataFormatError(f"duplicate recording id {rec_id!r}")
         seen.add(rec_id)
         rest = rest.strip()
-        return ChangeHypothesis(rec_id, tuple(map(parse_seconds, rest.split(","))) if rest else ())
+        # read before _from_ms checks the id: a line with both faults names the stamp
+        stamps = [*map(_parse_ms, rest.split(","))] if rest else []
+        return ChangeHypothesis._from_ms(rec_id, stamps)
 
     out = _records(text, source, parse_line)
     if not out:
@@ -329,8 +331,7 @@ class RiskKind(str, Enum):
     WORD_ERROR_ONLY = "word_error_only"
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(_Record):
     per_hyp_risk: Tuple[float, ...]
     per_hyp_prob: Tuple[float, ...]
     expected_risk: float
@@ -341,8 +342,7 @@ class LossBreakdown:
     expected_w: float
 
 
-@dataclass(frozen=True)
-class TrainStep:
+class TrainStep(_Record):
     loss_total: float
     expected_fa: float
     expected_fr: float
@@ -350,8 +350,7 @@ class TrainStep:
     argmax_candidate: int
 
 
-@dataclass(frozen=True)
-class TrainTrace:
+class TrainTrace(_Record):
     records: Tuple[TrainStep, ...]  # steps + 1 entries, initial state first
     final_model: Tuple[float, ...]  # the logits after the last step
 
@@ -434,35 +433,36 @@ def _is_number(v) -> bool:
 
 
 # What a JSON value must be for each field annotation the report and trace
-# dataclasses use: (check, description for the error message).
+# records use, keyed by the annotation as written (annotations are not
+# evaluated): (check, description for the error message).
 _VALUE_CHECKS = {
-    float: (_is_number, "a number"),
-    Optional[float]: (lambda v: v is None or _is_number(v), "a number or null"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    Tuple[float, ...]: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                        "a list of numbers"),
+    "float": (_is_number, "a number"),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "a number or null"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "Tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                          "a list of numbers"),
 }
 
-# Machine JSON carries each dataclass field under its own name.  Writers
-# use vars(), which for these plain dataclasses holds exactly the fields;
-# the reader looks the names and their checks up once here, as doing so
-# per trace record is measurably slower.
-_FIELD_CHECKS = {cls: tuple((name, *_VALUE_CHECKS[hint])
-                            for name, hint in get_type_hints(cls).items())
+# Machine JSON carries each record field under its own name.  Writers use
+# vars(), which for these records holds exactly the fields; the reader
+# looks the names and their checks up once here, in field order, as doing
+# so per trace record is measurably slower.
+_FIELD_CHECKS = {cls: tuple((name, *_VALUE_CHECKS[cls.__annotations__[name]])
+                            for name in cls._fields)
                  for cls in (*_REPORT_CLASSES.values(), TrainStep)}
 
 
 def _from_json_object(cls, obj: Dict):
     """Build ``cls`` from its fields in ``obj``; JSON lists become tuples."""
-    values = {}
+    values = []
     for name, valid, expected in _FIELD_CHECKS[cls]:
         if name not in obj:
             raise DataFormatError(f"missing field {name!r}")
         v = obj[name]
         if not valid(v):
             raise DataFormatError(f"field {name!r} must be {expected}, got {v!r}")
-        values[name] = tuple(v) if isinstance(v, list) else v
-    return cls(**values)
+        values.append(tuple(v) if isinstance(v, list) else v)
+    return cls(*values)
 
 
 def _report_object(report) -> Dict:

@@ -34,11 +34,98 @@ is integer arithmetic, and reports divide by 1000 once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Span = Tuple[int, int]
 Coverage = Dict[str, Tuple[Span, ...]]
+
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of every scdkit record: an immutable value with named fields.
+
+    A subclass's fields are its base's, then its own annotated names in
+    order, and a class attribute of the same name is a field's default.
+    As with a frozen dataclass, the fields are the positional and keyword
+    arguments of ``__init__`` and all that equality, ``hash`` and ``repr``
+    read: a record equals only a record of its own class with equal fields
+    (never a tuple), hashes as the tuple of its fields, and assignment
+    raises AttributeError.  ``__post_init__`` runs after the fields are
+    set; it may store derived attributes with ``object.__setattr__``, which
+    stay out of equality and ``repr``.  Instances keep a ``__dict__``, so
+    ``vars()`` holds the fields in order, and a record pickles to the same
+    bytes as a frozen dataclass of the same name and fields.  No source is
+    generated, so defining a record loads neither ``dataclasses`` nor
+    ``inspect``.  Keyword arguments cost a lookup per field: hot call sites
+    pass them by position.
+    """
+
+    _fields: Tuple[str, ...] = ()
+    _defaults: Dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields]
+        cls._fields = fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name]
+                                             for name in fields if name in cls.__dict__}}
+        cls.__match_args__ = fields
+        get = attrgetter(*fields)
+        # the tuple of the field values; attrgetter of one name returns the bare value
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # one object.__setattr__ per field, as a dataclass sets them: touching
+        # self.__dict__ here would make every later read of a field slower
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """All field values in order, from positional, keyword and default values."""
+        fields = cls._fields
+        name = cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        defaults = cls._defaults
+        try:
+            args += tuple([kwargs.pop(key) if key in kwargs else defaults[key]
+                           for key in fields[len(args):]])
+        except KeyError as exc:
+            raise TypeError(f"{name}() missing required argument {exc}") from None
+        for key in kwargs:  # what is left was given by position too, or is no field
+            raise TypeError(f"{name}() got multiple values for argument {key!r}" if key in fields
+                            else f"{name}() got an unexpected keyword argument {key!r}")
+        return args
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # 10**12 s in ms, the magnitude every time stays below (see ``_ms``)
 _MS_BOUND = 1e15
@@ -76,13 +163,11 @@ def _check_id(what: str, value: str) -> None:
         raise ValueError(f"{what} must be non-empty and contain no whitespace, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SpeakerSegment:
+class SpeakerSegment(_Record):
     speaker: str
     start: float
     end: float
-    # (start_ms, end_ms), converted once here for every reader
-    span: Span = field(init=False, repr=False, compare=False)
+    # not a field: ``span``, (start_ms, end_ms), converted once here for every reader
 
     def __post_init__(self) -> None:
         _check_id("speaker id", self.speaker)
@@ -117,8 +202,7 @@ class SpeakerSegment:
         object.__setattr__(self, "span", (start_ms, end_ms))
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(_Record):
     recording_id: str
     segments: Tuple[SpeakerSegment, ...]
 
@@ -140,12 +224,11 @@ class Annotation:
         return max(s.end for s in self.segments)
 
 
-@dataclass(frozen=True)
-class ChangeHypothesis:
+class ChangeHypothesis(_Record):
     recording_id: str
     timestamps: Tuple[float, ...]
-    # the sorted timestamps in ms, converted once here for every reader
-    stamps_ms: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # not a field: ``stamps_ms``, the sorted timestamps in ms, converted once
+    # here for every reader
 
     def __post_init__(self) -> None:
         _check_id("recording id", self.recording_id)
@@ -154,9 +237,24 @@ class ChangeHypothesis:
         object.__setattr__(self, "stamps_ms", tuple(
             _ms(t, f"timestamps of {self.recording_id!r}") for t in stamps))
 
+    @classmethod
+    def _from_ms(cls, recording_id: str, stamps_ms: Iterable[int]) -> ChangeHypothesis:
+        """The hypothesis of timestamps given in integer ms, under the
+        constructor's rules but with no seconds-to-ms conversion."""
+        _check_id("recording id", recording_id)
+        stamps = tuple(sorted(set(stamps_ms)))
+        if stamps and (stamps[0] <= -_MS_BOUND or stamps[-1] >= _MS_BOUND):
+            # the first the constructor would reject, in sorted order
+            bad = next(ms for ms in stamps if not -_MS_BOUND < ms < _MS_BOUND)
+            raise _ms_error(f"timestamps of {recording_id!r}", bad / 1000)
+        hyp = cls.__new__(cls)
+        object.__setattr__(hyp, "recording_id", recording_id)
+        object.__setattr__(hyp, "timestamps", tuple([ms / 1000 for ms in stamps]))
+        object.__setattr__(hyp, "stamps_ms", stamps)
+        return hyp
 
-@dataclass(frozen=True)
-class PrecisionRecallReport:
+
+class PrecisionRecallReport(_Record):
     precision: Optional[float]
     recall_count: Optional[float]
     recall_duration: Optional[float]
@@ -202,8 +300,7 @@ class PrecisionRecallReport:
         )
 
 
-@dataclass(frozen=True)
-class SegmentationReport:
+class SegmentationReport(_Record):
     purity: float
     coverage: float
     f1: float

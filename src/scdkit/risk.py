@@ -9,11 +9,11 @@ regularizer; no sequence model lives in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, _counts_batch
 from .dataio import LossBreakdown, RiskKind
+from .metrics import _Record
 from .tokens import Token, TokenSeq, as_token_seq
 
 # exp(log_score) above this is not a probability, nor a sum of them above _MAX_PROB
@@ -30,22 +30,21 @@ def _finite(v: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class ScoredHypothesis:
+class ScoredHypothesis(_Record):
     tokens: TokenSeq
     log_score: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", as_token_seq(self.tokens))
-        score = self.log_score
-        if not (isinstance(score, (int, float)) and not isinstance(score, bool)
-                and _finite(score)):
-            raise ValueError(f"log_score must be a finite number, got {score!r}")
-        object.__setattr__(self, "log_score", float(score))
+    # Its own constructor in place of the record base's generic one, which
+    # costs more per call: a reader builds one of these per hypothesis.
+    def __init__(self, tokens: Sequence[Token], log_score: float) -> None:
+        object.__setattr__(self, "tokens", as_token_seq(tokens))
+        if not (isinstance(log_score, (int, float)) and not isinstance(log_score, bool)
+                and _finite(log_score)):
+            raise ValueError(f"log_score must be a finite number, got {log_score!r}")
+        object.__setattr__(self, "log_score", float(log_score))
 
 
-@dataclass(frozen=True)
-class NBest:
+class NBest(_Record):
     utterance_id: str
     reference: TokenSeq
     hypotheses: Tuple[ScoredHypothesis, ...]
@@ -61,8 +60,7 @@ class NBest:
             raise ValueError(f"{self.utterance_id!r} has no hypotheses")
 
 
-@dataclass(frozen=True)
-class RiskConfig:
+class RiskConfig(_Record):
     """Weights and alignment settings for the token-level risk."""
 
     alpha: float = 1.0
@@ -182,16 +180,10 @@ def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakd
     if not math.isfinite(exp_risk):
         raise ValueError(f"expected risk of {nbest.utterance_id!r} is not finite "
                          f"({exp_risk}): the risk weights are too large")
-    breakdown = LossBreakdown(
-        per_hyp_risk=tuple(r for r, _ in rows),
-        per_hyp_prob=tuple(probs),
-        expected_risk=exp_risk,
-        nll_term=0.0,
-        total=exp_risk,
-        expected_fa=exp_fa,
-        expected_fr=exp_fr,
-        expected_w=exp_w,
-    )
+    # by position, once per utterance: per_hyp_risk, per_hyp_prob,
+    # expected_risk, nll_term, total, expected_fa, expected_fr, expected_w
+    breakdown = LossBreakdown(tuple(r for r, _ in rows), tuple(probs), exp_risk, 0.0, exp_risk,
+                              exp_fa, exp_fr, exp_w)
     _last = (nbest, config, breakdown)
     return breakdown
 

@@ -8,14 +8,14 @@ equality is plain text equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
+
+from .metrics import _Record
 
 ST_TEXT = "<st>"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Record):
     """One alignment symbol: a word, or the turn marker when ``text`` is None."""
 
     text: Optional[str] = None

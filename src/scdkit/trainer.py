@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dataio import TrainStep, TrainTrace
+from .metrics import _Record
 from .risk import RiskConfig, _finite, hypothesis_errors
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
 CANDIDATE_CAP = 256
 
 
-@dataclass(frozen=True)
-class HypothesisSpace:
+class HypothesisSpace(_Record):
     """Enumerated stand-in for a beam-search output space."""
 
     utterance_id: str
@@ -50,13 +49,12 @@ class HypothesisSpace:
         return self.candidates.index(self.reference)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Record):
     learning_rate: float = 0.5
     steps: int = 500
     nbest_n: Optional[int] = None  # None selects the full candidate set
     nll_weight: float = 0.03
-    risk: RiskConfig = field(default_factory=RiskConfig)
+    risk: RiskConfig = RiskConfig()
 
     def __post_init__(self) -> None:
         if not (_finite(self.learning_rate) and self.learning_rate > 0):
@@ -186,13 +184,10 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
         loss = risk_term + config.nll_weight * nll
         if not math.isfinite(loss):
             raise RuntimeError(f"training diverged at step {step}: loss={loss}")
-        records.append(TrainStep(
-            loss_total=loss,
-            expected_fa=float(np.dot(p_sel, fa)),
-            expected_fr=float(np.dot(p_sel, fr)),
-            expected_w=float(np.dot(p_sel, w)),
-            argmax_candidate=int(logits.argmax()),
-        ))
+        # by position, once per step: loss_total, expected_fa, expected_fr,
+        # expected_w, argmax_candidate
+        records.append(TrainStep(loss, float(np.dot(p_sel, fa)), float(np.dot(p_sel, fr)),
+                                 float(np.dot(p_sel, w)), int(logits.argmax())))
         if step == config.steps:
             break
         grad = probs * (r_sel - risk_term)

@@ -4,10 +4,13 @@
 interpreter, loads only what it runs: ``score`` and ``segment`` leave the
 risk path (``scdkit.risk``, ``scdkit.alignment``, ``scdkit.tokens``) and
 ``logging`` unloaded on inputs that raise no warning, and only ``train-toy``
-loads the trainer, numpy and ``decimal`` stay unloaded elsewhere.
+loads the trainer, numpy and ``decimal`` stay unloaded elsewhere.  No
+subcommand but ``train-toy`` (numpy) loads ``dataclasses`` or ``inspect``,
+and ``score`` leaves ``pathlib`` unloaded where ``site`` does not load it.
 """
 
 import json
+import os
 import pickle
 import re
 import subprocess
@@ -97,6 +100,26 @@ def test_score_and_segment_leave_the_risk_path_and_logging_unloaded(probe, name)
     assert probe[name]["code"] == 0
     unused = {"scdkit.risk", "scdkit.alignment", "scdkit.tokens", "logging"}
     assert probe[name]["loaded"] & unused == set()
+
+
+@pytest.mark.parametrize("name", NON_TRAINER)
+def test_non_trainer_subcommands_leave_dataclasses_and_inspect_unloaded(probe, name):
+    assert probe[name]["code"] == 0
+    assert probe[name]["loaded"] & {"dataclasses", "inspect"} == set()
+
+
+def test_score_leaves_pathlib_unloaded_without_site(tmp_path):
+    # ``site`` may load pathlib itself (a .pth file can), so this child runs
+    # under ``python -S`` and finds scdkit through PYTHONPATH alone
+    src = str(Path(scdkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, str(tmp_path / "out.txt"), *SUBCOMMANDS["score"]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0
+    assert "site" not in run["loaded"] and "scdkit.metrics" in run["loaded"]
+    assert "pathlib" not in run["loaded"]
 
 
 def test_align_and_risk_load_what_they_run(probe):

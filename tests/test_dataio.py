@@ -215,6 +215,61 @@ class TestChangeStamps:
         assert parse_change_stamps(serialize_change_stamps(hyps)) == hyps
 
 
+def _stamps_by_floats(rec_id, rest):
+    """A stamps line's hypothesis as read through float seconds: each stamp
+    by ``parse_seconds``, then the ``ChangeHypothesis`` constructor."""
+    return ChangeHypothesis(rec_id, tuple(map(parse_seconds, rest.split(","))) if rest else ())
+
+
+_ODD_STAMPS = ["-0", "-0.0", "-0.000", "0", "000.5", "-1.5", "1.0001", "0.1234", "1e3", "",
+               "-", ".5", "999999999999.999", "-999999999999.999", "1000000000000"]
+
+
+class TestStampsStraightToMs:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_float_path(self, seed):
+        rng = random.Random(seed)
+        for n in range(25):
+            items = []
+            for _ in range(rng.randint(1, 8)):
+                roll = rng.random()
+                if roll < 0.15 and items:
+                    items.append(rng.choice(items))  # a duplicate
+                elif roll < 0.3:
+                    items.append(rng.choice(_ODD_STAMPS))
+                else:
+                    places = rng.randint(0, 3)
+                    items.append(f"{rng.randint(-2000, 900000) / 1000:.{places}f}")
+            rec_id = rng.choice(["r", "rec-1", "r x"])
+            rest = ",".join(items)
+            try:
+                want = _stamps_by_floats(rec_id, rest)
+            except ValueError as exc:
+                with pytest.raises(DataFormatError) as info:
+                    parse_change_stamps(f"{rec_id}\t{rest}\n", source="f.stamps")
+                assert str(info.value) == f"f.stamps:1: {exc}"
+                continue
+            [got] = parse_change_stamps(f"{rec_id}\t{rest}\n", source="f.stamps")
+            assert got == want
+            assert repr(got) == repr(want)  # also tells 0.0 from -0.0
+            assert got.stamps_ms == want.stamps_ms
+
+    def test_negative_zero_reads_as_zero(self):
+        [got] = parse_change_stamps("r\t-0,-0.000,1.5\n")
+        assert got.timestamps == (0.0, 1.5) and got.stamps_ms == (0, 1500)
+        assert math.copysign(1, got.timestamps[0]) == 1
+
+    def test_from_ms_keeps_the_constructor_bound(self):
+        for stamps in ([10 ** 15, 5], [-10 ** 15, 10 ** 15 + 1]):
+            with pytest.raises(ValueError) as want:
+                ChangeHypothesis("r", tuple(ms / 1000 for ms in stamps))
+            with pytest.raises(ValueError) as got:
+                ChangeHypothesis._from_ms("r", stamps)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="recording id"):
+            ChangeHypothesis._from_ms("r x", [1])
+
+
 def random_nbest_record(rng, uid):
     pool = [word("a"), word("b"), word("c"), SPEAKER_TURN]
     ref = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))

@@ -3,7 +3,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -368,7 +367,7 @@ class TestAlignOncePerHypothesis:
     def test_config_change_between_loss_and_gradient(self):
         text = (FIXTURES / "nbest_small.jsonl").read_text()
         cfg = RiskConfig()
-        changed = replace(cfg, beta=3.5)
+        changed = RiskConfig(beta=3.5)
         got, want, unchanged = [], [], []
         for nb, twin in zip(parse_nbest(text), parse_nbest(text)):
             assert twin == nb and twin is not nb
