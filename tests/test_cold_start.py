@@ -102,6 +102,13 @@ def test_score_and_segment_leave_the_risk_path_and_logging_unloaded(probe, name)
     assert probe[name]["loaded"] & unused == set()
 
 
+def test_align_and_risk_load_what_they_run(probe):
+    # the control for the test above: the probe sees these modules load
+    assert {"scdkit.alignment", "scdkit.tokens"} <= probe["align"]["loaded"]
+    assert "scdkit.risk" not in probe["align"]["loaded"]
+    assert {"scdkit.alignment", "scdkit.tokens", "scdkit.risk"} <= probe["risk"]["loaded"]
+
+
 @pytest.mark.parametrize("name", NON_TRAINER)
 def test_non_trainer_subcommands_leave_dataclasses_and_inspect_unloaded(probe, name):
     assert probe[name]["code"] == 0
@@ -120,13 +127,6 @@ def test_score_leaves_pathlib_unloaded_without_site(tmp_path):
     assert run["code"] == 0
     assert "site" not in run["loaded"] and "scdkit.metrics" in run["loaded"]
     assert "pathlib" not in run["loaded"]
-
-
-def test_align_and_risk_load_what_they_run(probe):
-    # the control for the test above: the probe sees these modules load
-    assert {"scdkit.alignment", "scdkit.tokens"} <= probe["align"]["loaded"]
-    assert "scdkit.risk" not in probe["align"]["loaded"]
-    assert {"scdkit.alignment", "scdkit.tokens", "scdkit.risk"} <= probe["risk"]["loaded"]
 
 
 def test_train_toy_loads_numpy(probe):
