@@ -31,9 +31,9 @@ counts never depend on which one ran.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import _Record, _ms
 from .tokens import Token, TokenSeq, as_token_seq
@@ -90,8 +90,8 @@ class OpKind(str, Enum):
 
 class EditOp(_Record):
     kind: OpKind
-    ref_index: Optional[int] = None
-    hyp_index: Optional[int] = None
+    ref_index: int | None = None
+    hyp_index: int | None = None
 
     def __post_init__(self) -> None:
         # a str kind becomes its member (it would fail the `is` tests); an unknown one raises
@@ -124,13 +124,13 @@ class ErrorCounts(_Record):
 
 
 class Alignment(_Record):
-    ops: Tuple[EditOp, ...]
+    ops: tuple[EditOp, ...]
     cost_milli: int
     counts: ErrorCounts
 
 
-def _key_rows(ref_text: Sequence[Optional[str]], hyp_text: Sequence[Optional[str]],
-              st_cost: int, keep_rows: bool) -> List[List[int]]:
+def _key_rows(ref_text: Sequence[str | None], hyp_text: Sequence[str | None],
+              st_cost: int, keep_rows: bool) -> list[list[int]]:
     """Key rows of the alignment DP: all n+1 rows when ``keep_rows``, else only the last.
 
     Ties go Match on equal text, then Delete, then Insert, then WordSub;
@@ -166,8 +166,8 @@ def _key_rows(ref_text: Sequence[Optional[str]], hyp_text: Sequence[Optional[str
     return rows if keep_rows else [prev]
 
 
-def _batch_keys(ref_text: Sequence[Optional[str]],
-                hyp_texts: Sequence[Sequence[Optional[str]]], st_cost: int) -> Optional[List[int]]:
+def _batch_keys(ref_text: Sequence[str | None],
+                hyp_texts: Sequence[Sequence[str | None]], st_cost: int) -> list[int] | None:
     """``_key_rows``'s final key of each hypothesis, from one numpy DP over them all.
 
     Row i holds offset keys ``q = key - ins - D_i``: ``ins`` is each
@@ -233,8 +233,8 @@ def _batch_keys(ref_text: Sequence[Optional[str]],
     return keys
 
 
-def _counts_from_key(key: int, ref_text: Sequence[Optional[str]],
-                     hyp_text: Sequence[Optional[str]], st_cost: int) -> Tuple[int, ErrorCounts]:
+def _counts_from_key(key: int, ref_text: Sequence[str | None],
+                     hyp_text: Sequence[str | None], st_cost: int) -> tuple[int, ErrorCounts]:
     """(cost_milli, error counts) from the final DP key.
 
     Every turn is matched, inserted (FA) or deleted (FR), and every word
@@ -259,7 +259,7 @@ def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
 
 
 def align_counts_batch(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],
-                       costs: AlignmentCosts = DEFAULT_COSTS) -> List[ErrorCounts]:
+                       costs: AlignmentCosts = DEFAULT_COSTS) -> list[ErrorCounts]:
     """``align_counts`` of each hypothesis against ``reference``, in order.
 
     One batched numpy DP over the whole list when numpy is already loaded and
@@ -271,7 +271,7 @@ def align_counts_batch(reference: Sequence[Token], hypotheses: Iterable[Sequence
 
 
 def _counts_batch(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
-                  st_cost: int) -> List[ErrorCounts]:
+                  st_cost: int) -> list[ErrorCounts]:
     """``align_counts_batch`` of token tuples its caller has already checked."""
     ref_text = [t.text for t in reference]
     hyp_texts = [[t.text for t in h] for h in hypotheses]
@@ -296,20 +296,21 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
     # Delete test always holds.
     ops = []
     i, j = len(ref_text), len(hyp_text)
+    # by position, once per op of the path: kind, ref_index, hyp_index
     while i or j:
         key = rows[i][j]
         if i and j and ref_text[i - 1] == hyp_text[j - 1]:
-            ops.append(EditOp(OpKind.MATCH, ref_index=i - 1, hyp_index=j - 1))
+            ops.append(EditOp(OpKind.MATCH, i - 1, j - 1))
             i -= 1
             j -= 1
         elif i and rows[i - 1][j] + rows[i][0] - rows[i - 1][0] == key:
-            ops.append(EditOp(OpKind.DELETE, ref_index=i - 1))
+            ops.append(EditOp(OpKind.DELETE, i - 1, None))
             i -= 1
         elif j and rows[i][j - 1] + rows[0][j] - rows[0][j - 1] == key:
-            ops.append(EditOp(OpKind.INSERT, hyp_index=j - 1))
+            ops.append(EditOp(OpKind.INSERT, None, j - 1))
             j -= 1
         else:
-            ops.append(EditOp(OpKind.WORD_SUB, ref_index=i - 1, hyp_index=j - 1))
+            ops.append(EditOp(OpKind.WORD_SUB, i - 1, j - 1))
             i -= 1
             j -= 1
     ops.reverse()

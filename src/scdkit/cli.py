@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, List, Optional
 
 from .dataio import (
     MACHINE,
@@ -45,6 +44,7 @@ from .metrics import (
     score_changes,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .alignment import AlignmentCosts
     from .risk import NBest, RiskConfig
@@ -115,7 +115,7 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _nbest_n_arg(text: str) -> Optional[int]:
+def _nbest_n_arg(text: str) -> int | None:
     return None if text.upper() == "ALL" else _positive_int(text)
 
 
@@ -127,7 +127,7 @@ def _read_text(path: str) -> str:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as f:
@@ -265,7 +265,7 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _top_hypotheses(nbest: NBest, n: Optional[int]) -> NBest:
+def _top_hypotheses(nbest: NBest, n: int | None) -> NBest:
     from .risk import NBest
 
     if n is None or n >= len(nbest.hypotheses):
@@ -413,7 +413,7 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

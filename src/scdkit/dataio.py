@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import (
     Annotation,
@@ -31,6 +31,7 @@ from .metrics import (
     _Record,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .risk import NBest
     from .tokens import Token, TokenSeq
@@ -63,7 +64,7 @@ def _at(where: str, parse: Callable, text: str):
         raise DataFormatError(f"{where}: {exc}") from exc
 
 
-def _records(text: str, source: str, parse_line: Callable) -> List:
+def _records(text: str, source: str, parse_line: Callable) -> list:
     """``parse_line`` of each non-blank line, its errors named ``<source>:<line>``."""
     return [_at(f"{source}:{lineno}", parse_line, line)
             for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
@@ -94,7 +95,7 @@ def format_seconds(value: float) -> str:
     return s[:-1] if s.endswith("0") else s
 
 
-def _json_object(text: str) -> Dict:
+def _json_object(text: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -141,7 +142,7 @@ def tokenize_transcript(text: str) -> TokenSeq:
 # ---------------------------------------------------------------------------
 # RTTM
 
-def _rttm_line(line: str) -> Optional[Tuple[str, SpeakerSegment]]:
+def _rttm_line(line: str) -> tuple[str, SpeakerSegment] | None:
     """(file id, segment) of a SPEAKER line; None for any other record type."""
     fields = line.split()
     if fields[0] != "SPEAKER":
@@ -161,13 +162,13 @@ def _rttm_line(line: str) -> Optional[Tuple[str, SpeakerSegment]]:
     return fields[1], SpeakerSegment._from_ms(fields[7], onset, onset + duration)
 
 
-def parse_rttm(text: str, source: str = "<rttm>") -> List[Annotation]:
+def parse_rttm(text: str, source: str = "<rttm>") -> list[Annotation]:
     """Parse SPEAKER records grouped by file id, in order of first appearance.
 
     The channel must be an integer but is not kept.
     """
     records = _records(text, source, _rttm_line)
-    segments: Dict[str, List[SpeakerSegment]] = {}
+    segments: dict[str, list[SpeakerSegment]] = {}
     for record in records:
         if record is not None:
             segments.setdefault(record[0], []).append(record[1])
@@ -193,7 +194,7 @@ def serialize_rttm(annotations: Sequence[Annotation]) -> str:
 # ---------------------------------------------------------------------------
 # change stamps
 
-def parse_change_stamps(text: str, source: str = "<stamps>") -> List[ChangeHypothesis]:
+def parse_change_stamps(text: str, source: str = "<stamps>") -> list[ChangeHypothesis]:
     seen = set()
 
     def parse_line(line: str) -> ChangeHypothesis:
@@ -228,7 +229,7 @@ def serialize_change_stamps(hypotheses: Sequence[ChangeHypothesis]) -> str:
 # ---------------------------------------------------------------------------
 # N-best lists
 
-def parse_nbest(text: str, source: str = "<nbest>") -> List[NBest]:
+def parse_nbest(text: str, source: str = "<nbest>") -> list[NBest]:
     from .risk import NBest, ScoredHypothesis
 
     tokenize = _tokenizer()
@@ -282,7 +283,7 @@ def serialize_nbest(records: Sequence[NBest]) -> str:
 # ---------------------------------------------------------------------------
 # long-form segmentation
 
-def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float, float]]:
+def segment_longform(annotation: Annotation, target: float) -> list[tuple[float, float]]:
     """Split a recording into windows of whole segments around ``target`` seconds.
 
     Segments accumulate in start order; a window closes at the first
@@ -295,8 +296,8 @@ def segment_longform(annotation: Annotation, target: float) -> List[Tuple[float,
     if target_ms <= 0:
         raise ValueError(f"target must be > 0, got {target}")
     spans = sorted(s.span for s in annotation.segments)
-    windows: List[Tuple[float, float]] = []
-    win_start: Optional[int] = None
+    windows: list[tuple[float, float]] = []
+    win_start: int | None = None
     win_end = 0
     count = 0
     for idx, (start, end) in enumerate(spans):
@@ -332,8 +333,8 @@ class RiskKind(str, Enum):
 
 
 class LossBreakdown(_Record):
-    per_hyp_risk: Tuple[float, ...]
-    per_hyp_prob: Tuple[float, ...]
+    per_hyp_risk: tuple[float, ...]
+    per_hyp_prob: tuple[float, ...]
     expected_risk: float
     nll_term: float
     total: float
@@ -351,8 +352,8 @@ class TrainStep(_Record):
 
 
 class TrainTrace(_Record):
-    records: Tuple[TrainStep, ...]  # steps + 1 entries, initial state first
-    final_model: Tuple[float, ...]  # the logits after the last step
+    records: tuple[TrainStep, ...]  # steps + 1 entries, initial state first
+    final_model: tuple[float, ...]  # the logits after the last step
 
     @property
     def initial(self) -> TrainStep:
@@ -370,16 +371,16 @@ TABLE = "table"
 MACHINE = "machine"
 
 
-def _pct(value: Optional[float]) -> str:
+def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}"
 
 
-def _table(rows: Sequence[Tuple[str, str]]) -> str:
+def _table(rows: Sequence[tuple[str, str]]) -> str:
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name:<{width}}  {val}" for name, val in rows) + "\n"
 
 
-def _precision_recall_rows(r: PrecisionRecallReport) -> List[Tuple[str, str]]:
+def _precision_recall_rows(r: PrecisionRecallReport) -> list[tuple[str, str]]:
     return [
         ("precision", _pct(r.precision)),
         ("recall_count", _pct(r.recall_count)),
@@ -396,7 +397,7 @@ def _precision_recall_rows(r: PrecisionRecallReport) -> List[Tuple[str, str]]:
     ]
 
 
-def _segmentation_rows(r: SegmentationReport) -> List[Tuple[str, str]]:
+def _segmentation_rows(r: SegmentationReport) -> list[tuple[str, str]]:
     return [
         ("purity", _pct(r.purity)),
         ("coverage", _pct(r.coverage)),
@@ -404,7 +405,7 @@ def _segmentation_rows(r: SegmentationReport) -> List[Tuple[str, str]]:
     ]
 
 
-def _loss_rows(r: LossBreakdown) -> List[Tuple[str, str]]:
+def _loss_rows(r: LossBreakdown) -> list[tuple[str, str]]:
     return [
         ("expected_risk", f"{r.expected_risk:.6g}"),
         ("nll_term", f"{r.nll_term:.6g}"),
@@ -437,9 +438,9 @@ def _is_number(v) -> bool:
 # evaluated): (check, description for the error message).
 _VALUE_CHECKS = {
     "float": (_is_number, "a number"),
-    "Optional[float]": (lambda v: v is None or _is_number(v), "a number or null"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "Tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                           "a list of numbers"),
 }
 
@@ -452,7 +453,7 @@ _FIELD_CHECKS = {cls: tuple((name, *_VALUE_CHECKS[cls.__annotations__[name]])
                  for cls in (*_REPORT_CLASSES.values(), TrainStep)}
 
 
-def _from_json_object(cls, obj: Dict):
+def _from_json_object(cls, obj: dict):
     """Build ``cls`` from its fields in ``obj``; JSON lists become tuples."""
     values = []
     for name, valid, expected in _FIELD_CHECKS[cls]:
@@ -465,7 +466,7 @@ def _from_json_object(cls, obj: Dict):
     return cls(*values)
 
 
-def _report_object(report) -> Dict:
+def _report_object(report) -> dict:
     """The machine-JSON object of a report: its ``kind`` plus its fields."""
     kind = _REPORT_KINDS.get(type(report))
     if kind is None:
@@ -515,5 +516,5 @@ def _trace_line(line: str) -> TrainStep:
     return _from_json_object(TrainStep, _json_object(line.strip()))
 
 
-def read_trace_records(text: str, source: str = "<trace>") -> List[TrainStep]:
+def read_trace_records(text: str, source: str = "<trace>") -> list[TrainStep]:
     return _records(text, source, _trace_line)

@@ -34,11 +34,11 @@ is integer arithmetic, and reports divide by 1000 once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-Span = Tuple[int, int]
-Coverage = Dict[str, Tuple[Span, ...]]
+Span = tuple[int, int]
+Coverage = dict[str, tuple[Span, ...]]
 
 _setattr = object.__setattr__
 
@@ -62,8 +62,8 @@ class _Record:
     pass them by position.
     """
 
-    _fields: Tuple[str, ...] = ()
-    _defaults: Dict[str, object] = {}
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -204,7 +204,7 @@ class SpeakerSegment(_Record):
 
 class Annotation(_Record):
     recording_id: str
-    segments: Tuple[SpeakerSegment, ...]
+    segments: tuple[SpeakerSegment, ...]
 
     def __post_init__(self) -> None:
         _check_id("recording id", self.recording_id)
@@ -226,7 +226,7 @@ class Annotation(_Record):
 
 class ChangeHypothesis(_Record):
     recording_id: str
-    timestamps: Tuple[float, ...]
+    timestamps: tuple[float, ...]
     # not a field: ``stamps_ms``, the sorted timestamps in ms, converted once
     # here for every reader
 
@@ -255,10 +255,10 @@ class ChangeHypothesis(_Record):
 
 
 class PrecisionRecallReport(_Record):
-    precision: Optional[float]
-    recall_count: Optional[float]
-    recall_duration: Optional[float]
-    f1: Optional[float]
+    precision: float | None
+    recall_count: float | None
+    recall_duration: float | None
+    f1: float | None
     n_predictions_kept: int
     n_predictions_dropped: int
     n_correct: int
@@ -282,22 +282,12 @@ class PrecisionRecallReport(_Record):
         precision = n_correct / n_kept if n_kept > 0 else None
         recall_count = n_hit / n_intervals if n_intervals > 0 else None
         recall_duration = hit_ms / total_ms if total_ms > 0 else None
-        return cls(
-            precision=precision,
-            recall_count=recall_count,
-            recall_duration=recall_duration,
-            f1=f1_of_rates(precision, recall_count),
-            n_predictions_kept=n_kept,
-            n_predictions_dropped=n_dropped,
-            n_correct=n_correct,
-            n_fa=n_kept - n_correct,
-            n_intervals=n_intervals,
-            n_hit=n_hit,
-            n_fr=n_intervals - n_hit,
-            collar=collar,
-            hit_duration=hit_ms / 1000,
-            total_duration=total_ms / 1000,
-        )
+        # by position, once per recording and pooled report: precision, recall_count,
+        # recall_duration, f1, n_predictions_kept, n_predictions_dropped, n_correct,
+        # n_fa, n_intervals, n_hit, n_fr, collar, hit_duration, total_duration
+        return cls(precision, recall_count, recall_duration, f1_of_rates(precision, recall_count),
+                   n_kept, n_dropped, n_correct, n_kept - n_correct, n_intervals, n_hit,
+                   n_intervals - n_hit, collar, hit_ms / 1000, total_ms / 1000)
 
 
 class SegmentationReport(_Record):
@@ -318,21 +308,21 @@ def f1_score(a: float, b: float) -> float:
     return 2.0 * a * b / (a + b)
 
 
-def f1_of_rates(precision: Optional[float], recall: Optional[float]) -> Optional[float]:
+def f1_of_rates(precision: float | None, recall: float | None) -> float | None:
     """F1 of two rates; None when either rate is None or both are 0."""
     if precision is None or recall is None or (precision == 0 and recall == 0):
         return None
     return f1_score(precision, recall)
 
 
-def _union(spans: Iterable[Span], gap_ms: int = 0) -> Tuple[Span, ...]:
+def _union(spans: Iterable[Span], gap_ms: int = 0) -> tuple[Span, ...]:
     """Sorted, pairwise-disjoint spans covering ``spans`` and the gaps of at
     most ``gap_ms`` between them.
 
     Overlapping or touching spans merge, which absorbs a zero-length point
     lying inside or on the edge of another span; a lone point is kept.
     """
-    merged: List[Span] = []
+    merged: list[Span] = []
     for start, end in sorted(spans):
         if merged and start - merged[-1][1] <= gap_ms:
             if end > merged[-1][1]:
@@ -345,7 +335,7 @@ def _union(spans: Iterable[Span], gap_ms: int = 0) -> Tuple[Span, ...]:
 def speaker_coverage(annotation: Annotation, gap_ms: int = 0) -> Coverage:
     """Each speaker's own segments as the union of their spans, which with
     positive-length segments also merges same-speaker gaps of at most ``gap_ms``."""
-    by_speaker: Dict[str, List[Span]] = {}
+    by_speaker: dict[str, list[Span]] = {}
     for seg in annotation.segments:
         by_speaker.setdefault(seg.speaker, []).append(seg.span)
     return {spk: _union(spans, gap_ms) for spk, spans in by_speaker.items()}
@@ -364,7 +354,7 @@ def _scored_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
     return speaker_coverage(annotation, gap_ms)
 
 
-def _change_runs(coverage: Coverage) -> Tuple[Span, Tuple[Span, ...]]:
+def _change_runs(coverage: Coverage) -> tuple[Span, tuple[Span, ...]]:
     """The annotated span and its change intervals, in ms.
 
     One sweep over the sorted boundaries keeps a running count of open
@@ -378,16 +368,16 @@ def _change_runs(coverage: Coverage) -> Tuple[Span, Tuple[Span, ...]]:
     point of a boundary inside a change interval has exactly one speaker
     only when that gap does too.
     """
-    starts: Dict[int, int] = {}
-    ends: Dict[int, int] = {}
+    starts: dict[int, int] = {}
+    ends: dict[int, int] = {}
     for spans in coverage.values():
         for start, end in spans:
             starts[start] = starts.get(start, 0) + 1
             ends[end] = ends.get(end, 0) + 1
     bounds = sorted(starts.keys() | ends.keys())
     t_max = bounds[-1]
-    runs: List[Span] = []
-    run_start: Optional[int] = None
+    runs: list[Span] = []
+    run_start: int | None = None
     active = 0
     for b in bounds:
         at_point = active + starts.get(b, 0)
@@ -401,7 +391,7 @@ def _change_runs(coverage: Coverage) -> Tuple[Span, Tuple[Span, ...]]:
     return (bounds[0], t_max), tuple(runs)
 
 
-def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:
+def mono_speaker_ranges(annotation: Annotation) -> tuple[Span, ...]:
     """``(start_ms, end_ms)`` spans of the annotated span covered by exactly one
     speaker: the complement of the change intervals, split at zero-length ones."""
     (t_min, t_max), intervals = _change_runs(speaker_coverage(annotation))
@@ -409,7 +399,7 @@ def mono_speaker_ranges(annotation: Annotation) -> Tuple[Span, ...]:
     return tuple((a, b) for a, b in zip(bounds[::2], bounds[1::2]) if b > a)
 
 
-def change_intervals(annotation: Annotation) -> Tuple[Span, ...]:
+def change_intervals(annotation: Annotation) -> tuple[Span, ...]:
     """Spans of the annotated span not covered by exactly one speaker, in ms.
 
     Includes multi-speaker overlap, unannotated gaps, and zero-length
@@ -464,7 +454,7 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     )
 
 
-def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> List[Span]:
+def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> list[Span]:
     """The annotated span cut at the kept prediction timestamps, in ms."""
     t_min = min(spans[0][0] for spans in coverage.values())
     t_max = max(spans[-1][1] for spans in coverage.values())
@@ -478,15 +468,10 @@ def _segmentation_report(pur_num: int, pur_den: int,
     """Scores from integer-millisecond overlap sums; a zero denominator scores 0."""
     purity = pur_num / pur_den if pur_den > 0 else 0.0
     coverage = cov_num / cov_den if cov_den > 0 else 0.0
-    return SegmentationReport(
-        purity=purity,
-        coverage=coverage,
-        f1=f1_score(purity, coverage),
-        purity_num=pur_num / 1000,
-        purity_den=pur_den / 1000,
-        coverage_num=cov_num / 1000,
-        coverage_den=cov_den / 1000,
-    )
+    # by position, once per recording and pooled report: purity, coverage, f1,
+    # purity_num, purity_den, coverage_num, coverage_den
+    return SegmentationReport(purity, coverage, f1_score(purity, coverage), pur_num / 1000,
+                              pur_den / 1000, cov_num / 1000, cov_den / 1000)
 
 
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,

@@ -9,7 +9,7 @@ regularizer; no sequence model lives in this package.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, _counts_batch
 from .dataio import LossBreakdown, RiskKind
@@ -30,6 +30,11 @@ def _finite(v: float) -> bool:
         return False
 
 
+def _check_utterance_id(value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError("utterance_id must be a non-empty string")
+
+
 class ScoredHypothesis(_Record):
     tokens: TokenSeq
     log_score: float
@@ -47,11 +52,10 @@ class ScoredHypothesis(_Record):
 class NBest(_Record):
     utterance_id: str
     reference: TokenSeq
-    hypotheses: Tuple[ScoredHypothesis, ...]
+    hypotheses: tuple[ScoredHypothesis, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.utterance_id, str) or not self.utterance_id:
-            raise ValueError("utterance_id must be a non-empty string")
+        _check_utterance_id(self.utterance_id)
         object.__setattr__(self, "reference", as_token_seq(self.reference))
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         if not self.reference:
@@ -82,7 +86,7 @@ class RiskConfig(_Record):
 
 
 def _risk_rows(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
-               config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
+               config: RiskConfig) -> list[tuple[float, ErrorCounts]]:
     """``hypothesis_errors`` of token tuples its caller has already checked.
 
     The one place in the risk path that aligns: the whole list goes to
@@ -99,7 +103,7 @@ def _risk_rows(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
 
 
 def hypothesis_errors(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],
-                      config: RiskConfig) -> List[Tuple[float, ErrorCounts]]:
+                      config: RiskConfig) -> list[tuple[float, ErrorCounts]]:
     """(risk, error counts) of each hypothesis, aligned once against ``reference``.
 
     The risk is (alpha*W + beta*FA + gamma*FR) / |reference| for the
@@ -126,7 +130,7 @@ def per_hyp_risk(reference: Sequence[Token], hypothesis: Sequence[Token],
     return risk
 
 
-def hypothesis_probs(nbest: NBest, normalize: bool) -> List[float]:
+def hypothesis_probs(nbest: NBest, normalize: bool) -> list[float]:
     """Per-hypothesis probabilities from the log scores of ``nbest``.
 
     Softmax over the list when ``normalize``; otherwise the scores must
@@ -156,7 +160,7 @@ def hypothesis_probs(nbest: NBest, normalize: bool) -> List[float]:
 # risk_gradient calls expected_risk, so loss then gradient on the same N-best
 # aligns each hypothesis once.  Both keys are frozen, so the same NBest object
 # means the same values, and the strong references keep its id from reuse.
-_last: Optional[Tuple[NBest, RiskConfig, LossBreakdown]] = None
+_last: tuple[NBest, RiskConfig, LossBreakdown] | None = None
 
 
 def expected_risk(nbest: NBest, config: RiskConfig = RiskConfig()) -> LossBreakdown:
@@ -199,8 +203,8 @@ def pooled_loss(breakdowns: Iterable[LossBreakdown], nll_weight: float,
     for name, v in (("nll_weight", nll_weight), ("nll", nll)):
         if not (_finite(v) and v >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {v}")
-    risks: List[float] = []
-    probs: List[float] = []
+    risks: list[float] = []
+    probs: list[float] = []
     risk_sum = exp_fa = exp_fr = exp_w = 0.0
     for b in breakdowns:
         risks.extend(b.per_hyp_risk)
@@ -231,7 +235,7 @@ def batch_loss(batch: Sequence[NBest], nll_weight: float, nll: float,
     return pooled_loss((expected_risk(nbest, config) for nbest in batch), nll_weight, nll)
 
 
-def risk_gradient(nbest: NBest, config: RiskConfig = RiskConfig()) -> List[float]:
+def risk_gradient(nbest: NBest, config: RiskConfig = RiskConfig()) -> list[float]:
     """d(expected risk)/d(log_score_j); softmax scores only.
 
     g_j = p_j (r_j - E[r]); the components sum to zero.  Called right after

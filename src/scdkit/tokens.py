@@ -8,7 +8,7 @@ equality is plain text equality.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .metrics import _Record
 
@@ -18,7 +18,7 @@ ST_TEXT = "<st>"
 class Token(_Record):
     """One alignment symbol: a word, or the turn marker when ``text`` is None."""
 
-    text: Optional[str] = None
+    text: str | None = None
 
     def __post_init__(self) -> None:
         if self.text is not None:
@@ -39,7 +39,7 @@ class Token(_Record):
 
 SPEAKER_TURN = Token()
 
-TokenSeq = Tuple[Token, ...]
+TokenSeq = tuple[Token, ...]
 
 
 def word(text: str) -> Token:

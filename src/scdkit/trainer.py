@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 import numpy as np
 
 from .dataio import TrainStep, TrainTrace
 from .metrics import _Record
-from .risk import RiskConfig, _finite, hypothesis_errors
+from .risk import RiskConfig, _check_utterance_id, _finite, hypothesis_errors
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
 CANDIDATE_CAP = 256
@@ -30,9 +30,10 @@ class HypothesisSpace(_Record):
 
     utterance_id: str
     reference: TokenSeq
-    candidates: Tuple[TokenSeq, ...]
+    candidates: tuple[TokenSeq, ...]
 
     def __post_init__(self) -> None:
+        _check_utterance_id(self.utterance_id)
         object.__setattr__(self, "reference", as_token_seq(self.reference))
         object.__setattr__(self, "candidates", tuple(map(as_token_seq, self.candidates)))
         if not self.reference:
@@ -52,7 +53,7 @@ class HypothesisSpace(_Record):
 class TrainConfig(_Record):
     learning_rate: float = 0.5
     steps: int = 500
-    nbest_n: Optional[int] = None  # None selects the full candidate set
+    nbest_n: int | None = None  # None selects the full candidate set
     nll_weight: float = 0.03
     risk: RiskConfig = RiskConfig()
 
@@ -66,9 +67,11 @@ class TrainConfig(_Record):
             raise ValueError(f"nbest_n must be an int >= 1 or None, got {self.nbest_n!r}")
         if not (_finite(self.nll_weight) and self.nll_weight >= 0):
             raise ValueError(f"nll_weight must be finite and >= 0, got {self.nll_weight}")
+        if not isinstance(self.risk, RiskConfig):
+            raise TypeError(f"risk must be a RiskConfig, got {type(self.risk).__name__}")
 
 
-TextSeq = Tuple[str, ...]
+TextSeq = tuple[str, ...]
 
 
 def _single_edits(seq: TextSeq, vocab: Sequence[str]):
@@ -170,7 +173,7 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
     w = np.array([c.word_errors for _, c in rows], dtype=float)
 
     logits = np.zeros(n_cand)
-    records: List[TrainStep] = []
+    records: list[TrainStep] = []
     for step in range(config.steps + 1):
         probs = _softmax(logits)
         # With no cut the mask would be all ones, and x * 1.0 == x.
@@ -198,6 +201,6 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
     return TrainTrace(records=tuple(records), final_model=tuple(float(v) for v in logits))
 
 
-def candidate_probs(trace: TrainTrace) -> Tuple[float, ...]:
+def candidate_probs(trace: TrainTrace) -> tuple[float, ...]:
     """Softmax of the trace's final logits."""
     return tuple(float(v) for v in _softmax(np.array(trace.final_model)))

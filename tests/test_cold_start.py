@@ -7,8 +7,11 @@ risk path (``scdkit.risk``, ``scdkit.alignment``, ``scdkit.tokens``) and
 loads the trainer, numpy and ``decimal`` stay unloaded elsewhere.  No
 subcommand but ``train-toy`` (numpy) loads ``dataclasses`` or ``inspect``,
 and ``score`` leaves ``pathlib`` unloaded where ``site`` does not load it.
+No scdkit module imports ``typing``, so no subcommand but ``train-toy``
+loads it where ``site`` does not.
 """
 
+import ast
 import json
 import os
 import pickle
@@ -115,18 +118,44 @@ def test_non_trainer_subcommands_leave_dataclasses_and_inspect_unloaded(probe, n
     assert probe[name]["loaded"] & {"dataclasses", "inspect"} == set()
 
 
-def test_score_leaves_pathlib_unloaded_without_site(tmp_path):
-    # ``site`` may load pathlib itself (a .pth file can), so this child runs
-    # under ``python -S`` and finds scdkit through PYTHONPATH alone
+def _probe_without_site(tmp_path, name):
+    """The probe's result for subcommand ``name`` in an interpreter without ``site``."""
+    # ``site`` may load pathlib or typing itself (a .pth file can), so this
+    # child runs under ``python -S`` and finds scdkit through PYTHONPATH alone
     src = str(Path(scdkit.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _PROBE, str(tmp_path / "out.txt"), *SUBCOMMANDS["score"]],
+        [sys.executable, "-S", "-c", _PROBE, str(tmp_path / "out.txt"), *SUBCOMMANDS[name]],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["code"] == 0
     assert "site" not in run["loaded"] and "scdkit.metrics" in run["loaded"]
-    assert "pathlib" not in run["loaded"]
+    return run
+
+
+def test_score_leaves_pathlib_unloaded_without_site(tmp_path):
+    assert "pathlib" not in _probe_without_site(tmp_path, "score")["loaded"]
+
+
+@pytest.mark.parametrize("name", NON_TRAINER)
+def test_non_trainer_subcommands_leave_typing_unloaded_without_site(tmp_path, name):
+    assert "typing" not in _probe_without_site(tmp_path, name)["loaded"]
+
+
+def test_no_scdkit_module_imports_typing():
+    # read from the source, so it covers trainer.py, which no probe without
+    # ``site`` can run: numpy lives in site-packages
+    paths = sorted(Path(scdkit.__file__).parent.glob("*.py"))
+    assert "trainer.py" in {path.name for path in paths}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            assert "typing" not in modules, f"{path.name}:{node.lineno} imports typing"
 
 
 def test_train_toy_loads_numpy(probe):

@@ -38,12 +38,27 @@ class TestHypothesisSpace:
         with pytest.raises(TypeError, match="expected Token, got str"):
             HypothesisSpace("u", ref, (ref, ("x",)))
 
+    @pytest.mark.parametrize("bad", ["", None, 5])
+    def test_utterance_id_must_be_a_non_empty_string(self, bad):
+        # the rule and message of NBest
+        ref = (word("a"),)
+        with pytest.raises(ValueError, match="^utterance_id must be a non-empty string$"):
+            HypothesisSpace(bad, ref, (ref, (word("b"),)))
+
     @pytest.mark.parametrize("kind", list(RiskKind))
     def test_empty_reference_rejected(self, kind):
         # rejected up front, whichever risk kind training would use
         with pytest.raises(ValueError, match="reference of 'e' is empty"):
             space = HypothesisSpace("e", (), ((), (word("a"),)))
             train(space, TrainConfig(steps=1, risk=RiskConfig(risk_kind=kind)))
+
+
+@pytest.mark.parametrize("bad", [None, "scd_weighted", RiskKind.SCD_WEIGHTED],
+                         ids=["none", "str", "kind"])
+def test_config_risk_must_be_a_risk_config(bad):
+    # rejected at construction, not as an AttributeError inside train
+    with pytest.raises(TypeError, match=f"^risk must be a RiskConfig, got {type(bad).__name__}$"):
+        TrainConfig(risk=bad, steps=1)
 
 
 @pytest.mark.parametrize("name", ["learning_rate", "nll_weight"])
