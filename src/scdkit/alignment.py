@@ -14,18 +14,21 @@ The secondary criterion is what makes a turn marker within floor(k)
 word positions of its reference position count as correctly aligned even
 when the word-edit detour has exactly equal cost.
 
-The one DP recurrence, ``_key_rows``, has two executions.  The pure-Python
-one aligns one pair and is what ``align`` and ``align_counts`` run.
+One recurrence, two executions, both on offset keys: each key less its
+row's delete chain and its column's insert chain, so a delete or an insert
+adds 0 and every offset is <= 0.  The pure-Python execution, ``_key_rows``,
+aligns one pair and is what ``align`` and ``align_counts`` run.
 ``align_counts_batch`` aligns a whole N-best list against its reference in
-one numpy DP, but only when numpy is already loaded: this module never
-imports it, so ``scd risk``, ``score``, ``align`` and ``segment`` start
-without it (the import costs more than the batch saves on one such run).
-Its rows hold offset keys, each key less its row's delete chain and its
-column's insert chain; every offset is <= 0, and each reference row takes
-three in-place numpy calls.  It falls back to the pure execution for an empty reference,
-for a list whose hypotheses are all empty, and when a key could reach 2**62,
-where int64 would not be exact.  Both executions give identical keys, so the
-counts never depend on which one ran.
+one numpy DP, ``_batch_keys``, but only when numpy is already loaded: this
+module never imports it, so ``scd risk``, ``score``, ``align`` and
+``segment`` start without it (the import costs more than the batch saves on
+one such run).  Each reference row there takes three in-place numpy calls.
+It falls back to the pure execution for an empty reference, for a list
+whose hypotheses are all empty, and when a key could reach 2**62, where
+int64 would not be exact.  Both executions give identical keys, so the
+counts never depend on which one ran, and both equal the keys of the
+earlier forced-match DP kept as the test oracle
+(``tests/_alignment_oracle.py``, ``key_rows_oracle``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from itertools import accumulate
 
 from .metrics import _Record, _ms
 from .tokens import Token, TokenSeq, as_token_seq
@@ -129,57 +131,81 @@ class Alignment(_Record):
     counts: ErrorCounts
 
 
-def _key_rows(ref_text: Sequence[str | None], hyp_text: Sequence[str | None],
-              st_cost: int, keep_rows: bool) -> list[list[int]]:
-    """Key rows of the alignment DP: all n+1 rows when ``keep_rows``, else only the last.
+def _chain(text: Sequence[str | None], word_step: int, turn_step: int) -> int:
+    """The sum of a sequence's delete (or insert) steps: one step per token."""
+    return len(text) * word_step + text.count(None) * (turn_step - word_step)
 
-    Ties go Match on equal text, then Delete, then Insert, then WordSub;
-    ``align`` replays that order.
+
+def _key_rows(ref_text: Sequence[str | None], hyp_text: Sequence[str | None],
+              st_cost: int, keep_rows: bool) -> tuple[list[list[int]], int]:
+    """Offset-key rows of the alignment DP (all n+1 when ``keep_rows``, else
+    only the last) and its final key.
+
+    Row i holds ``q = key - ins_j - D_i``: ``ins_j`` is the hypothesis's
+    insert chain (the sum of its first j insert steps) and ``D_i`` the sum of
+    the delete steps of reference rows 1..i, so row 0 and column 0 are 0, a
+    delete or an insert adds 0, and each cell is one add and two compares.
+    ``align`` walks back through equal keys in the tie order Match on equal
+    text, then Delete, then Insert, then WordSub.
     """
     # key = cost_milli * scale + turn errors; turn errors <= n + m < scale,
     # so comparing keys compares (cost, turn errors) in that order.
     scale = len(ref_text) + len(hyp_text) + 1
     word_step = WORD_COST_MILLI * scale
     turn_step = st_cost * scale + 1
-    hyp_step = [turn_step if h is None else word_step for h in hyp_text]
-    prev = list(accumulate(hyp_step, initial=0))
-    rows = [prev]
+    # Diagonal steps less the delete and the insert step, one list per
+    # reference token: a word substitutes for a word and matches an equal
+    # one, a turn matches a turn.  A forbidden substitution gets 0, the
+    # delete-then-insert it can never beat.
+    word_row = [0 if h is None else -word_step for h in hyp_text]
+    positions = {}
+    for j, h in enumerate(hyp_text):
+        positions.setdefault(h, []).append(j)
+    row_steps = {None: [-2 * turn_step if h is None else 0 for h in hyp_text]}
+    q = [0] * (len(hyp_text) + 1)
+    rows = [q[:]]
     for r in ref_text:
-        r_step = turn_step if r is None else word_step
-        left = prev[0] + r_step
-        cur = [left]
-        for diag, up, h, h_step in zip(prev, prev[1:], hyp_text, hyp_step):
-            if r == h:
-                # deleting r and inserting h add the same step, so neither beats the match
-                left = diag
-            else:
-                best = up + r_step
-                if left + h_step < best:
-                    best = left + h_step
-                if r is not None and h is not None and diag + word_step < best:
-                    best = diag + word_step
-                left = best
-            cur.append(left)
-        prev = cur
+        steps = row_steps.get(r)
+        if steps is None:
+            # a word absent from the hypothesis shares word_row; a present one patches a copy
+            steps = word_row
+            matches = positions.get(r)
+            if matches:
+                steps = word_row.copy()
+                for j in matches:
+                    steps[j] = -2 * word_step
+            row_steps[r] = steps
+        # q is updated in place: until cell j is written, q[j] is the row
+        # above.  On equal text diag + s is the minimum, so the plain minimum
+        # gives the keys of a DP that forces the match.
+        diag = left = 0
+        for j, s in enumerate(steps, 1):
+            up = q[j]
+            d = diag + s
+            if up < d:
+                d = up
+            if left < d:
+                d = left
+            q[j] = left = d
+            diag = up
         if keep_rows:
-            rows.append(cur)
-    return rows if keep_rows else [prev]
+            rows.append(q[:])
+    key = q[-1] + _chain(ref_text, word_step, turn_step) + _chain(hyp_text, word_step, turn_step)
+    return (rows if keep_rows else [q]), key
 
 
 def _batch_keys(ref_text: Sequence[str | None],
                 hyp_texts: Sequence[Sequence[str | None]], st_cost: int) -> list[int] | None:
     """``_key_rows``'s final key of each hypothesis, from one numpy DP over them all.
 
-    Row i holds offset keys ``q = key - ins - D_i``: ``ins`` is each
-    hypothesis's insert chain (the sum of its first j insert steps) and
-    ``D_i`` the sum of the delete steps of reference rows 1..i.  A delete
-    then adds 0 and the insert chain is a plain prefix minimum, so each
-    reference row is three in-place calls on (H, W+1)-sized buffers: add the
-    diagonal steps, take the minimum with the row above, accumulate the
-    minimum along the row.  Deleting everything and then inserting everything
-    bounds every key, so ``q <= 0``; a key is >= 0, so ``q >= -(ins + D_i)``,
-    which the 2**62 guard bounds.  ``ins`` and ``D_n`` are added back once,
-    at the end, in Python ints.
+    It runs ``_key_rows``'s offset-key recurrence on every hypothesis at
+    once.  A delete adds 0 and the insert chain is a plain prefix minimum,
+    so each reference row is three in-place calls on (H, W+1)-sized
+    buffers: add the diagonal steps, take the minimum with the row above,
+    accumulate the minimum along the row.  Deleting everything and then
+    inserting everything bounds every key, so ``q <= 0``; a key is >= 0, so
+    ``q >= -(ins_j + D_i)``, which the 2**62 guard bounds.  ``ins_m`` and
+    ``D_n`` are added back once, at the end, in Python ints.
 
     None when numpy is not loaded, or when the int64 DP would not be exact
     or has nothing to do: an empty reference, no hypothesis token at all, or
@@ -217,17 +243,15 @@ def _batch_keys(ref_text: Sequence[str | None],
             code = vocab.get(r)
             step = word_sub if code is None else np.where(codes == code, word_match, word_sub)
         # match or substitute, then delete; on equal text the match is the
-        # minimum, the lemma _key_rows's forced match rests on
+        # minimum, as in _key_rows
         np.add(q[:, :-1], step, out=diag)
         np.minimum(q[:, 1:], diag, out=q[:, 1:])
         # the insert chain
         np.minimum.accumulate(q, axis=1, out=q)
-    # a sequence's chain of steps: a word step per token, plus the extra of each turn
-    extra = turn_step - word_step
-    deletes = n * word_step + ref_text.count(None) * extra
+    deletes = _chain(ref_text, word_step, turn_step)
     keys = []
     for offset, hyp in zip(q[np.arange(len(hyp_texts)), lengths].tolist(), hyp_texts):
-        key = offset + deletes + len(hyp) * word_step + hyp.count(None) * extra
+        key = offset + deletes + _chain(hyp, word_step, turn_step)
         cost, turns = divmod(key, scale)
         keys.append(cost * (n + len(hyp) + 1) + turns)  # its own scale, as _counts_from_key reads it
     return keys
@@ -254,7 +278,7 @@ def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
     """``align(reference, hypothesis, costs).counts``, read from the DP's last row, no path."""
     ref_text = [t.text for t in as_token_seq(reference)]
     hyp_text = [t.text for t in as_token_seq(hypothesis)]
-    key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=False)[-1][-1]
+    key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=False)[1]
     return _counts_from_key(key, ref_text, hyp_text, costs.st_cost_milli)[1]
 
 
@@ -277,7 +301,7 @@ def _counts_batch(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
     hyp_texts = [[t.text for t in h] for h in hypotheses]
     keys = _batch_keys(ref_text, hyp_texts, st_cost)
     if keys is None:
-        keys = [_key_rows(ref_text, h, st_cost, keep_rows=False)[-1][-1] for h in hyp_texts]
+        keys = [_key_rows(ref_text, h, st_cost, keep_rows=False)[1] for h in hyp_texts]
     return [_counts_from_key(key, ref_text, h, st_cost)[1] for key, h in zip(keys, hyp_texts)]
 
 
@@ -289,24 +313,23 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
     """
     ref_text = [t.text for t in as_token_seq(reference)]
     hyp_text = [t.text for t in as_token_seq(hypothesis)]
-    rows = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=True)
+    rows, key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=True)
     # Walk back from the final cell, taking at each cell the op the DP chose
-    # there.  Row 0 and column 0 sum the token steps, so they give each
-    # token's delete or insert step, and on row 0 or column 0 the Insert or
-    # Delete test always holds.
+    # there.  A delete or an insert leaves an offset key unchanged, and row 0
+    # and column 0 are all 0, so on them the Insert or Delete test always holds.
     ops = []
     i, j = len(ref_text), len(hyp_text)
     # by position, once per op of the path: kind, ref_index, hyp_index
     while i or j:
-        key = rows[i][j]
+        q = rows[i][j]
         if i and j and ref_text[i - 1] == hyp_text[j - 1]:
             ops.append(EditOp(OpKind.MATCH, i - 1, j - 1))
             i -= 1
             j -= 1
-        elif i and rows[i - 1][j] + rows[i][0] - rows[i - 1][0] == key:
+        elif i and rows[i - 1][j] == q:
             ops.append(EditOp(OpKind.DELETE, i - 1, None))
             i -= 1
-        elif j and rows[i][j - 1] + rows[0][j] - rows[0][j - 1] == key:
+        elif j and rows[i][j - 1] == q:
             ops.append(EditOp(OpKind.INSERT, None, j - 1))
             j -= 1
         else:
@@ -314,5 +337,5 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
             i -= 1
             j -= 1
     ops.reverse()
-    cost, counts = _counts_from_key(rows[-1][-1], ref_text, hyp_text, costs.st_cost_milli)
+    cost, counts = _counts_from_key(key, ref_text, hyp_text, costs.st_cost_milli)
     return Alignment(ops=tuple(ops), cost_milli=cost, counts=counts)

@@ -9,12 +9,16 @@ cost and error counts independently of the DP.  ``table_align`` is the
 earlier three-table DP with explicit tie-break tuples; ``align`` must
 return exactly its ops, cost and counts.  ``k_to_milli`` is the earlier
 ``Decimal`` converter of the turn-marker cost; ``AlignmentCosts.from_k``
-must give its milli-units wherever it accepts ``k``.
+must give its milli-units wherever it accepts ``k``.  ``key_rows_oracle`` is
+the earlier pure-Python DP on plain keys with a forced match on equal text;
+``_key_rows``'s offset rows plus their delete and insert chains must equal
+its rows.
 """
 
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import FrozenSet, Optional, Sequence
+from itertools import accumulate
+from typing import FrozenSet, List, Optional, Sequence
 
 from scdkit.alignment import (
     DEFAULT_COSTS,
@@ -233,3 +237,38 @@ def table_align(reference: Sequence[Token], hypothesis: Sequence[Token],
     trace = tuple(ops)
     return Alignment(ops=trace, cost_milli=cost[n][m],
                      counts=counts_from_ops(trace, ref, hyp))
+
+
+def key_rows_oracle(ref_text: Sequence[Optional[str]], hyp_text: Sequence[Optional[str]],
+                    st_cost: int) -> List[List[int]]:
+    """All n+1 key rows of the forced-match DP (a turn is ``None``).
+
+    A key is ``cost_milli * (n + m + 1) + turn errors``.  On equal text the
+    cell takes the match without comparing; else the least of delete,
+    insert and (between two words) substitute.
+    """
+    scale = len(ref_text) + len(hyp_text) + 1
+    word_step = WORD_COST_MILLI * scale
+    turn_step = st_cost * scale + 1
+    hyp_step = [turn_step if h is None else word_step for h in hyp_text]
+    prev = list(accumulate(hyp_step, initial=0))
+    rows = [prev]
+    for r in ref_text:
+        r_step = turn_step if r is None else word_step
+        left = prev[0] + r_step
+        cur = [left]
+        for diag, up, h, h_step in zip(prev, prev[1:], hyp_text, hyp_step):
+            if r == h:
+                # deleting r and inserting h add the same step, so neither beats the match
+                left = diag
+            else:
+                best = up + r_step
+                if left + h_step < best:
+                    best = left + h_step
+                if r is not None and h is not None and diag + word_step < best:
+                    best = diag + word_step
+                left = best
+            cur.append(left)
+        prev = cur
+        rows.append(cur)
+    return rows

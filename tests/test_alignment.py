@@ -12,6 +12,7 @@ from _alignment_oracle import (
     cost_from_ops,
     counts_from_ops,
     k_to_milli,
+    key_rows_oracle,
     table_align,
 )
 from scdkit.alignment import (
@@ -361,6 +362,52 @@ def texts(seq):
     return [t.text for t in seq]
 
 
+# the turn-marker costs the pure DP is checked at against the forced-match
+# oracle; at 10**17 its keys run far past int64
+ORACLE_COSTS = [1000, 1100, 1999, 10 ** 17]
+WIDE_VOCAB = [f"w{i:03d}" for i in range(300)]
+
+
+def assert_key_rows_equal_oracle(ref_text, hyp_text, st_cost):
+    want = key_rows_oracle(ref_text, hyp_text, st_cost)
+    rows, key = _key_rows(ref_text, hyp_text, st_cost, keep_rows=True)
+    # the oracle's row 0 is the insert chain and its column 0 the delete chain
+    assert [[q + want[0][j] + want[i][0] for j, q in enumerate(row)]
+            for i, row in enumerate(rows)] == want
+    assert key == want[-1][-1]
+    assert _key_rows(ref_text, hyp_text, st_cost, keep_rows=False) == ([rows[-1]], key)
+
+
+@pytest.mark.parametrize("st_cost", ORACLE_COSTS)
+def test_key_rows_equal_oracle(st_cost):
+    # 600 short pairs per cost, 2,400 in all: 0-20 tokens (either side may be
+    # empty), turn shares up to 1 (all turns), vocabularies of 1, 2 and 8
+    # words (heavy repeats) and of 300 words (reference words absent from the
+    # hypothesis); then 50 and 160 tokens over 300 words
+    rng = random.Random(f"key-rows-oracle-{st_cost}")
+    for _ in range(600):
+        vocab = rng.choice(["a", "ab", "abcdefgh", WIDE_VOCAB])
+        ref, hyp = random_pair(rng, rng.randint(0, 20), rng.choice([0.0, 0.1, 0.4, 1.0]), vocab)
+        assert_key_rows_equal_oracle(texts(ref), texts(hyp), st_cost)
+    for length in (50, 160):
+        ref, hyp = random_pair(rng, length, 0.08, WIDE_VOCAB)
+        assert_key_rows_equal_oracle(texts(ref), texts(hyp), st_cost)
+
+
+@pytest.mark.parametrize("ref_text", ["a x a y <st> x", "a x y"])
+def test_match_steps_stay_out_of_the_shared_word_row(ref_text):
+    # a reference that repeats "a", a word of the hypothesis, and one that
+    # does not: rows of "a" read a copy of the word row with the match
+    # patched in, and rows of "x" and "y", absent from the hypothesis, read
+    # the shared row; a match step leaked into it would let "x" take the
+    # hypothesis's "a" at a lower key than the oracle's
+    ref, hyp = toks(ref_text), toks("b a <st>")
+    for st_cost in ORACLE_COSTS:
+        assert_key_rows_equal_oracle(texts(ref), texts(hyp), st_cost)
+        costs = AlignmentCosts(st_cost_milli=st_cost)
+        assert align(ref, hyp, costs) == table_align(ref, hyp, costs)
+
+
 def random_nbest_list(rng, length, turn_share, vocab):
     """A seeded reference and 1-8 hypotheses edited from it, some of them empty,
     at least one not."""
@@ -377,7 +424,7 @@ def random_nbest_list(rng, length, turn_share, vocab):
 def assert_batch_equals_pure(ref, hyps, costs):
     st_cost = costs.st_cost_milli
     keys = _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost)
-    assert keys == [_key_rows(texts(ref), texts(h), st_cost, keep_rows=False)[-1][-1]
+    assert keys == [_key_rows(texts(ref), texts(h), st_cost, keep_rows=False)[1]
                     for h in hyps]
     assert align_counts_batch(ref, hyps, costs) == [align_counts(ref, h, costs) for h in hyps]
 
