@@ -16,25 +16,25 @@ when the word-edit detour has exactly equal cost.
 
 One recurrence, two executions, both on offset keys: each key less its
 row's delete chain and its column's insert chain, so a delete or an insert
-adds 0 and every offset is <= 0.  The pure-Python execution, ``_key_rows``,
-aligns one pair and is what ``align`` and ``align_counts`` run.
-``align_counts_batch`` aligns a whole N-best list against its reference in
-one numpy DP, ``_batch_keys``, but only when numpy is already loaded: this
-module never imports it, so ``scd risk``, ``score``, ``align`` and
-``segment`` start without it (the import costs more than the batch saves on
-one such run).  Each reference row there takes three in-place numpy calls.
-It falls back to the pure execution for an empty reference, for a list
-whose hypotheses are all empty, and when a key could reach 2**62, where
-int64 would not be exact.  Both executions give identical keys, so the
-counts never depend on which one ran, and both equal the keys of the
-earlier forced-match DP kept as the test oracle
+adds 0 and every offset is <= 0.  Both hand back the final (cost_milli,
+turn errors), from which ``_counts`` reads all four counts.  The
+pure-Python execution, ``_key_rows``, aligns one pair and is what ``align``
+and ``align_counts`` run.  ``_batch_keys`` aligns a whole N-best list
+(``risk.hypothesis_errors``) in one numpy DP of three in-place calls per
+reference row, but only when numpy is already loaded: this module never
+imports it, so ``scd risk``, ``score``, ``align`` and ``segment`` start
+without it (the import costs more than the batch saves on one such run).
+Where numpy is not loaded, or a key could reach 2**62 and int64 would not
+be exact, each hypothesis gets the pure execution.  Both give identical
+results, so the counts never depend on which one ran, and both equal the
+keys of the earlier forced-match DP kept as the test oracle
 (``tests/_alignment_oracle.py``, ``key_rows_oracle``).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from enum import Enum
 
 from .metrics import _Record, _ms
@@ -97,7 +97,8 @@ class EditOp(_Record):
 
     def __post_init__(self) -> None:
         # a str kind becomes its member (it would fail the `is` tests); an unknown one raises
-        object.__setattr__(self, "kind", OpKind(self.kind))
+        if type(self.kind) is not OpKind:
+            object.__setattr__(self, "kind", OpKind(self.kind))
         if self.kind in (OpKind.MATCH, OpKind.WORD_SUB):
             ok = self.ref_index is not None and self.hyp_index is not None
         elif self.kind is OpKind.INSERT:
@@ -137,9 +138,9 @@ def _chain(text: Sequence[str | None], word_step: int, turn_step: int) -> int:
 
 
 def _key_rows(ref_text: Sequence[str | None], hyp_text: Sequence[str | None],
-              st_cost: int, keep_rows: bool) -> tuple[list[list[int]], int]:
+              st_cost: int, keep_rows: bool) -> tuple[list[list[int]], tuple[int, int]]:
     """Offset-key rows of the alignment DP (all n+1 when ``keep_rows``, else
-    only the last) and its final key.
+    only the last) and its final (cost_milli, turn errors).
 
     Row i holds ``q = key - ins_j - D_i``: ``ins_j`` is the hypothesis's
     insert chain (the sum of its first j insert steps) and ``D_i`` the sum of
@@ -191,12 +192,12 @@ def _key_rows(ref_text: Sequence[str | None], hyp_text: Sequence[str | None],
         if keep_rows:
             rows.append(q[:])
     key = q[-1] + _chain(ref_text, word_step, turn_step) + _chain(hyp_text, word_step, turn_step)
-    return (rows if keep_rows else [q]), key
+    return (rows if keep_rows else [q]), divmod(key, scale)
 
 
-def _batch_keys(ref_text: Sequence[str | None],
-                hyp_texts: Sequence[Sequence[str | None]], st_cost: int) -> list[int] | None:
-    """``_key_rows``'s final key of each hypothesis, from one numpy DP over them all.
+def _batch_keys(ref_text: Sequence[str | None], hyp_texts: Sequence[Sequence[str | None]],
+                st_cost: int) -> list[tuple[int, int]] | None:
+    """``_key_rows``'s final (cost_milli, turn errors) of each hypothesis, in one numpy DP.
 
     It runs ``_key_rows``'s offset-key recurrence on every hypothesis at
     once.  A delete adds 0 and the insert chain is a plain prefix minimum,
@@ -207,9 +208,8 @@ def _batch_keys(ref_text: Sequence[str | None],
     ``q >= -(ins_j + D_i)``, which the 2**62 guard bounds.  ``ins_m`` and
     ``D_n`` are added back once, at the end, in Python ints.
 
-    None when numpy is not loaded, or when the int64 DP would not be exact
-    or has nothing to do: an empty reference, no hypothesis token at all, or
-    a key that could reach 2**62.
+    None when numpy is not loaded, or when a key could reach 2**62, where
+    the int64 DP would not be exact.
     """
     np = sys.modules.get("numpy")
     n = len(ref_text)
@@ -217,8 +217,7 @@ def _batch_keys(ref_text: Sequence[str | None],
     width = max(lengths, default=0)
     # one common scale; turn errors <= n + width < scale still, so key order is unchanged
     scale = n + width + 1
-    if (np is None or not n or not width
-            or (n + width) * (max(st_cost, WORD_COST_MILLI) * scale + 1) >= _BATCH_KEY_LIMIT):
+    if np is None or (n + width) * (max(st_cost, WORD_COST_MILLI) * scale + 1) >= _BATCH_KEY_LIMIT:
         return None
     word_step = WORD_COST_MILLI * scale
     turn_step = st_cost * scale + 1
@@ -249,28 +248,23 @@ def _batch_keys(ref_text: Sequence[str | None],
         # the insert chain
         np.minimum.accumulate(q, axis=1, out=q)
     deletes = _chain(ref_text, word_step, turn_step)
-    keys = []
-    for offset, hyp in zip(q[np.arange(len(hyp_texts)), lengths].tolist(), hyp_texts):
-        key = offset + deletes + _chain(hyp, word_step, turn_step)
-        cost, turns = divmod(key, scale)
-        keys.append(cost * (n + len(hyp) + 1) + turns)  # its own scale, as _counts_from_key reads it
-    return keys
+    return [divmod(offset + deletes + _chain(hyp, word_step, turn_step), scale)
+            for offset, hyp in zip(q[np.arange(len(hyp_texts)), lengths].tolist(), hyp_texts)]
 
 
-def _counts_from_key(key: int, ref_text: Sequence[str | None],
-                     hyp_text: Sequence[str | None], st_cost: int) -> tuple[int, ErrorCounts]:
-    """(cost_milli, error counts) from the final DP key.
+def _counts(cost: int, turn_errors: int, ref_text: Sequence[str | None],
+            hyp_text: Sequence[str | None], st_cost: int) -> ErrorCounts:
+    """The error counts of a pair from its DP's final (cost_milli, turn errors).
 
     Every turn is matched, inserted (FA) or deleted (FR), and every word
-    edit costs WORD_COST_MILLI, so the final key fixes all four counts.
+    edit costs WORD_COST_MILLI, so those two fix all four counts.
     """
-    cost, turn_errors = divmod(key, len(ref_text) + len(hyp_text) + 1)
     hyp_turns = hyp_text.count(None)
     fa = (turn_errors + hyp_turns - ref_text.count(None)) // 2
     # by position, once per hypothesis aligned: word_errors, st_insertions,
     # st_deletions, st_correct
-    return cost, ErrorCounts((cost - st_cost * turn_errors) // WORD_COST_MILLI,
-                             fa, turn_errors - fa, hyp_turns - fa)
+    return ErrorCounts((cost - st_cost * turn_errors) // WORD_COST_MILLI,
+                       fa, turn_errors - fa, hyp_turns - fa)
 
 
 def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
@@ -278,31 +272,21 @@ def align_counts(reference: Sequence[Token], hypothesis: Sequence[Token],
     """``align(reference, hypothesis, costs).counts``, read from the DP's last row, no path."""
     ref_text = [t.text for t in as_token_seq(reference)]
     hyp_text = [t.text for t in as_token_seq(hypothesis)]
-    key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=False)[1]
-    return _counts_from_key(key, ref_text, hyp_text, costs.st_cost_milli)[1]
-
-
-def align_counts_batch(reference: Sequence[Token], hypotheses: Iterable[Sequence[Token]],
-                       costs: AlignmentCosts = DEFAULT_COSTS) -> list[ErrorCounts]:
-    """``align_counts`` of each hypothesis against ``reference``, in order.
-
-    One batched numpy DP over the whole list when numpy is already loaded and
-    the batch is exact (see the module docstring); else one pure DP per
-    hypothesis.  Both give the same counts.
-    """
-    return _counts_batch(as_token_seq(reference), [as_token_seq(h) for h in hypotheses],
-                         costs.st_cost_milli)
+    final = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=False)[1]
+    return _counts(*final, ref_text, hyp_text, costs.st_cost_milli)
 
 
 def _counts_batch(reference: TokenSeq, hypotheses: Sequence[TokenSeq],
                   st_cost: int) -> list[ErrorCounts]:
-    """``align_counts_batch`` of token tuples its caller has already checked."""
+    """``align_counts`` of each hypothesis, in order, for token tuples its
+    caller has already checked: one ``_batch_keys`` DP over the whole list,
+    else one ``_key_rows`` DP per hypothesis."""
     ref_text = [t.text for t in reference]
     hyp_texts = [[t.text for t in h] for h in hypotheses]
-    keys = _batch_keys(ref_text, hyp_texts, st_cost)
-    if keys is None:
-        keys = [_key_rows(ref_text, h, st_cost, keep_rows=False)[1] for h in hyp_texts]
-    return [_counts_from_key(key, ref_text, h, st_cost)[1] for key, h in zip(keys, hyp_texts)]
+    finals = _batch_keys(ref_text, hyp_texts, st_cost)
+    if finals is None:
+        finals = [_key_rows(ref_text, h, st_cost, keep_rows=False)[1] for h in hyp_texts]
+    return [_counts(*final, ref_text, h, st_cost) for final, h in zip(finals, hyp_texts)]
 
 
 def align(reference: Sequence[Token], hypothesis: Sequence[Token],
@@ -313,7 +297,7 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
     """
     ref_text = [t.text for t in as_token_seq(reference)]
     hyp_text = [t.text for t in as_token_seq(hypothesis)]
-    rows, key = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=True)
+    rows, (cost, turns) = _key_rows(ref_text, hyp_text, costs.st_cost_milli, keep_rows=True)
     # Walk back from the final cell, taking at each cell the op the DP chose
     # there.  A delete or an insert leaves an offset key unchanged, and row 0
     # and column 0 are all 0, so on them the Insert or Delete test always holds.
@@ -337,5 +321,5 @@ def align(reference: Sequence[Token], hypothesis: Sequence[Token],
             i -= 1
             j -= 1
     ops.reverse()
-    cost, counts = _counts_from_key(key, ref_text, hyp_text, costs.st_cost_milli)
-    return Alignment(ops=tuple(ops), cost_milli=cost, counts=counts)
+    return Alignment(ops=tuple(ops), cost_milli=cost,
+                     counts=_counts(cost, turns, ref_text, hyp_text, costs.st_cost_milli))

@@ -11,7 +11,6 @@ alignment and risk modules, ``train-toy`` the trainer and numpy, so that
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -20,6 +19,7 @@ from .dataio import (
     TABLE,
     DataFormatError,
     RiskKind,
+    _SORTED_ENCODER,
     _pct,
     _precision_recall_rows,
     _report_object,
@@ -257,7 +257,7 @@ def cmd_align(args) -> int:
                 for op in result.ops
             ],
         }
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
+        _emit(_SORTED_ENCODER.encode(obj) + "\n", args.out)
         return 0
     rows = [("cost_milli", str(result.cost_milli))]
     rows.extend((name, str(value)) for name, value in vars(result.counts).items())
@@ -292,7 +292,7 @@ def cmd_risk(args) -> int:
             ],
             "batch": _report_object(batch),
         }
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
+        _emit(_SORTED_ENCODER.encode(obj) + "\n", args.out)
         return 0
     chunks = []
     for uid, rep in per_utt:
@@ -390,7 +390,7 @@ def cmd_score(args) -> int:
                 "segmentation": _report_object(pooled_seg),
             },
         }
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
+        _emit(_SORTED_ENCODER.encode(obj) + "\n", args.out)
         return 0
 
     chunks = []

@@ -27,6 +27,7 @@ from .metrics import (
     PrecisionRecallReport,
     SegmentationReport,
     SpeakerSegment,
+    _is_number,
     _ms,
     _Record,
 )
@@ -93,6 +94,12 @@ def format_seconds(value: float) -> str:
     """Millisecond-exact decimal text, at least two fractional digits."""
     s = f"{value:.3f}"
     return s[:-1] if s.endswith("0") else s
+
+
+# The one writer of stable-keyed JSON (reports, N-best lists, traces, the
+# CLI's machine output): json.dumps(..., sort_keys=True) builds a new
+# JSONEncoder per call.
+_SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _json_object(text: str) -> dict:
@@ -276,7 +283,7 @@ def serialize_nbest(records: Sequence[NBest]) -> str:
                 for h in nb.hypotheses
             ],
         }
-        lines.append(json.dumps(obj, sort_keys=True))
+        lines.append(_SORTED_ENCODER.encode(obj))
     return "\n".join(lines) + "\n"
 
 
@@ -429,10 +436,6 @@ _TABLE_ROWS = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 # What a JSON value must be for each field annotation the report and trace
 # records use, keyed by the annotation as written (annotations are not
 # evaluated): (check, description for the error message).
@@ -478,7 +481,7 @@ def write_report(report, format: str = TABLE) -> str:
     """Render a report as a human table or lossless machine JSON."""
     obj = _report_object(report)
     if format == MACHINE:
-        return json.dumps(obj, sort_keys=True) + "\n"
+        return _SORTED_ENCODER.encode(obj) + "\n"
     if format != TABLE:
         raise ValueError(f"unknown report format {format!r}")
     return _table(_TABLE_ROWS[type(report)](report))
@@ -499,11 +502,6 @@ def read_report(text: str):
 
 # ---------------------------------------------------------------------------
 # training traces
-
-# One encoder for every trace record: json.dumps(..., sort_keys=True) builds
-# a new JSONEncoder per call.
-_SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
-
 
 def write_trace(trace: TrainTrace) -> str:
     lines = []

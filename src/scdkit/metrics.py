@@ -136,21 +136,25 @@ def _ms_error(what: str, seconds: float, unit: str = " s") -> ValueError:
                       f"3 decimal places, got {seconds!r}")
 
 
+def _is_number(v) -> bool:
+    """An ``int`` or a ``float``, not a ``bool``: the type of every time and weight."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _ms(seconds: float, what: str, unit: str = " s") -> int:
     """``seconds`` as exact integer milliseconds.
 
-    Raises ValueError when the value is not finite, not on the millisecond
-    grid (the resolution the text formats carry) or not below 10**12 s in
-    magnitude.  Below that bound a decimal with at most 3 fractional digits
-    has at most 15 significant digits, which a double holds exactly, so the
-    milliseconds of every accepted value are the ones its text spelled.
-    The bound is checked first: it is False for NaN and the infinities, and
-    an int too large for a float never reaches a float conversion.  The
-    error message names the bound with ``unit``, which is empty for a
-    quantity other than seconds.
+    Raises ValueError when the value is not a number (``_is_number``), not
+    finite, not on the millisecond grid (the resolution the text formats
+    carry) or not below 10**12 s in magnitude.  Below that bound a decimal
+    with at most 3 fractional digits has at most 15 significant digits,
+    which a double holds exactly, so the milliseconds of every accepted
+    value are the ones its text spelled.  The bound is checked right after
+    the type: it is False for NaN and the infinities, and an int too large
+    for a float never reaches a float conversion.  The error message names
+    the bound with ``unit``, which is empty for a quantity other than seconds.
     """
-    scaled = seconds * 1000
-    if -_MS_BOUND < scaled < _MS_BOUND:
+    if _is_number(seconds) and -_MS_BOUND < (scaled := seconds * 1000) < _MS_BOUND:
         ms = round(scaled)
         if ms / 1000 == seconds:
             return ms

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 
 from .alignment import DEFAULT_COSTS, AlignmentCosts, ErrorCounts, _counts_batch
 from .dataio import LossBreakdown, RiskKind
-from .metrics import _Record
+from .metrics import _Record, _is_number
 from .tokens import Token, TokenSeq, as_token_seq
 
 # exp(log_score) above this is not a probability, nor a sum of them above _MAX_PROB
@@ -22,10 +22,11 @@ _MAX_PROB = 1 + 1e-9
 
 
 def _finite(v: float) -> bool:
-    """``math.isfinite``, but False for an int too large for a float, on
-    which ``math.isfinite`` raises OverflowError."""
+    """``math.isfinite`` of a number (``metrics._is_number``); False for any
+    other type and for an int too large for a float, on which
+    ``math.isfinite`` raises OverflowError."""
     try:
-        return math.isfinite(v)
+        return _is_number(v) and math.isfinite(v)
     except OverflowError:
         return False
 
@@ -43,8 +44,7 @@ class ScoredHypothesis(_Record):
     # costs more per call: a reader builds one of these per hypothesis.
     def __init__(self, tokens: Sequence[Token], log_score: float) -> None:
         object.__setattr__(self, "tokens", as_token_seq(tokens))
-        if not (isinstance(log_score, (int, float)) and not isinstance(log_score, bool)
-                and _finite(log_score)):
+        if not _finite(log_score):
             raise ValueError(f"log_score must be a finite number, got {log_score!r}")
         object.__setattr__(self, "log_score", float(log_score))
 

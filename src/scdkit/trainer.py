@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataio import TrainStep, TrainTrace
 from .metrics import _Record
-from .risk import RiskConfig, _check_utterance_id, _finite, hypothesis_errors
+from .risk import RiskConfig, _check_utterance_id, _finite, _risk_rows
 from .tokens import SPEAKER_TURN, Token, TokenSeq, as_token_seq, word
 
 CANDIDATE_CAP = 256
@@ -166,7 +166,8 @@ def train(space: HypothesisSpace, config: TrainConfig = TrainConfig()) -> TrainT
     ref_idx = space.reference_index
     top_n = config.nbest_n if config.nbest_n is not None and config.nbest_n < n_cand else None
 
-    rows = hypothesis_errors(space.reference, space.candidates, config.risk)
+    # HypothesisSpace checked its tokens when it was built
+    rows = _risk_rows(space.reference, space.candidates, config.risk)
     risks = np.array([r for r, _ in rows])
     fa = np.array([c.st_insertions for _, c in rows], dtype=float)
     fr = np.array([c.st_deletions for _, c in rows], dtype=float)

@@ -2,7 +2,7 @@ import random
 import sys
 from decimal import Decimal
 
-import numpy  # noqa: F401  (loaded, so align_counts_batch takes its batched path)
+import numpy  # noqa: F401  (loaded, so _counts_batch takes its batched path)
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,10 +21,10 @@ from scdkit.alignment import (
     ErrorCounts,
     OpKind,
     _batch_keys,
+    _counts_batch,
     _key_rows,
     align,
     align_counts,
-    align_counts_batch,
 )
 from scdkit.risk import RiskConfig, RiskKind, hypothesis_errors
 from scdkit.tokens import SPEAKER_TURN, word
@@ -370,12 +370,12 @@ WIDE_VOCAB = [f"w{i:03d}" for i in range(300)]
 
 def assert_key_rows_equal_oracle(ref_text, hyp_text, st_cost):
     want = key_rows_oracle(ref_text, hyp_text, st_cost)
-    rows, key = _key_rows(ref_text, hyp_text, st_cost, keep_rows=True)
+    rows, final = _key_rows(ref_text, hyp_text, st_cost, keep_rows=True)
     # the oracle's row 0 is the insert chain and its column 0 the delete chain
     assert [[q + want[0][j] + want[i][0] for j, q in enumerate(row)]
             for i, row in enumerate(rows)] == want
-    assert key == want[-1][-1]
-    assert _key_rows(ref_text, hyp_text, st_cost, keep_rows=False) == ([rows[-1]], key)
+    assert final == divmod(want[-1][-1], len(ref_text) + len(hyp_text) + 1)
+    assert _key_rows(ref_text, hyp_text, st_cost, keep_rows=False) == ([rows[-1]], final)
 
 
 @pytest.mark.parametrize("st_cost", ORACLE_COSTS)
@@ -426,7 +426,7 @@ def assert_batch_equals_pure(ref, hyps, costs):
     keys = _batch_keys(texts(ref), [texts(h) for h in hyps], st_cost)
     assert keys == [_key_rows(texts(ref), texts(h), st_cost, keep_rows=False)[1]
                     for h in hyps]
-    assert align_counts_batch(ref, hyps, costs) == [align_counts(ref, h, costs) for h in hyps]
+    assert _counts_batch(ref, hyps, st_cost) == [align_counts(ref, h, costs) for h in hyps]
 
 
 @pytest.mark.parametrize("st_cost", BATCH_COSTS)
@@ -448,6 +448,19 @@ def test_batch_keys_equal_key_rows_long(st_cost):
     costs = AlignmentCosts(st_cost_milli=st_cost)
     for length in (50, 160):
         assert_batch_equals_pure(*random_nbest_list(rng, length, 0.15, "abcdefgh"), costs)
+
+
+@pytest.mark.parametrize("st_cost", BATCH_COSTS)
+def test_batch_keys_equal_key_rows_empty_sides(st_cost):
+    # the lists the batch once handed to the pure DP: an empty reference,
+    # hypotheses that are all empty, and no hypotheses at all
+    rng = random.Random(f"batch-dp-empty-{st_cost}")
+    costs = AlignmentCosts(st_cost_milli=st_cost)
+    for _ in range(100):
+        ref, hyps = random_nbest_list(rng, rng.randint(0, 12), rng.choice([0.0, 0.3, 1.0]), "abc")
+        assert_batch_equals_pure((), hyps, costs)
+        assert_batch_equals_pure(ref, [()] * len(hyps), costs)
+        assert_batch_equals_pure(ref, [], costs)
 
 
 # (reference, hypotheses) run at the largest turn cost the batch accepts:
@@ -476,13 +489,14 @@ def test_largest_cost_inside_the_key_bound_is_exact():
 
 
 class TestBatchFallback:
-    """Where the int64 batch could not be exact, the pure DP runs for each hypothesis."""
+    """Where the int64 batch could not be exact, the pure DP runs for each
+    hypothesis; an empty reference or all-empty hypotheses stay on the batch."""
 
     def test_huge_turn_cost(self, key_rows_calls):
         ref, hyps = toks("a <st> b"), [toks("<st> a b"), toks("a")]
         costs = AlignmentCosts(st_cost_milli=10 ** 18)
         assert _batch_keys(texts(ref), [texts(h) for h in hyps], costs.st_cost_milli) is None
-        got = align_counts_batch(ref, hyps, costs)
+        got = _counts_batch(ref, hyps, costs.st_cost_milli)
         assert key_rows_calls == [len(hyps)]
         assert got == [align_counts(ref, h, costs) for h in hyps]
 
@@ -490,14 +504,14 @@ class TestBatchFallback:
         config = RiskConfig(risk_kind=RiskKind.WORD_ERROR_ONLY)
         hyps = [toks("a <st> b"), (), toks("c")]
         got = hypothesis_errors((), hyps, config)
-        assert key_rows_calls == [len(hyps)]
+        assert key_rows_calls == [0]
         want = [align_counts((), h, config.costs) for h in hyps]
         assert got == [(float(c.total_errors), c) for c in want]
         assert [c.word_errors for _, c in got] == [2, 0, 1]
 
     def test_all_hypotheses_empty(self, key_rows_calls):
         got = hypothesis_errors(toks("a <st> b"), [(), ()], RiskConfig())
-        assert key_rows_calls == [2]
+        assert key_rows_calls == [0]
         # two words and the turn deleted: (1 * 2 + 10 * 1) / 3
         assert got == [(4.0, ErrorCounts(word_errors=2, st_deletions=1))] * 2
 
@@ -513,6 +527,7 @@ class TestBatchDispatch:
     def test_numpy_not_loaded_runs_the_pure_dp(self, key_rows_calls, monkeypatch):
         monkeypatch.delitem(sys.modules, "numpy")
         ref = toks("a <st> b c")
-        got = align_counts_batch(ref, [toks("a b <st> c"), toks("a <st> d")])
+        got = hypothesis_errors(ref, [toks("a b <st> c"), toks("a <st> d")], RiskConfig())
         assert key_rows_calls == [2]
-        assert got == [align_counts(ref, toks("a b <st> c")), align_counts(ref, toks("a <st> d"))]
+        assert [c for _, c in got] == [align_counts(ref, toks("a b <st> c")),
+                                      align_counts(ref, toks("a <st> d"))]

@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,9 @@ from scdkit.metrics import (
     speaker_coverage,
     _union,
 )
+from scdkit.risk import RiskConfig, ScoredHypothesis, pooled_loss
+from scdkit.tokens import word
+from scdkit.trainer import TrainConfig
 
 
 def ann(rec_id, *segs):
@@ -415,6 +420,30 @@ class TestValidation:
         # math.isfinite would raise OverflowError on such an int
         with pytest.raises(ValueError, match=r"below 10\*\*12 s in magnitude"):
             make()
+
+    # every time and weight is an int or a float, not a bool: True, a Decimal
+    # or a Fraction passed the range checks and then broke the JSON report
+    @pytest.mark.parametrize("bad", [True, False, Decimal("0.25"), Fraction(1, 4)],
+                             ids=["True", "False", "Decimal", "Fraction"])
+    @pytest.mark.parametrize("make, message", [
+        (lambda v: SpeakerSegment("A", v, 5.0), "must be finite, below 10"),
+        (lambda v: SpeakerSegment("A", 0.0, v), "must be finite, below 10"),
+        (lambda v: ChangeHypothesis("r", (v,)), "must be finite, below 10"),
+        (lambda v: score_changes(FIG1, ChangeHypothesis("fig1", ()), collar=v),
+         "^collar must be finite"),
+        (lambda v: purity_coverage(FIG1, ChangeHypothesis("fig1", ()), gap_merge=v),
+         "^gap_merge must be finite"),
+        (lambda v: segment_longform(FIG1, v), "^target must be finite"),
+        (lambda v: RiskConfig(alpha=v), "^alpha must be finite and >= 0"),
+        (lambda v: TrainConfig(learning_rate=v), "^learning_rate must be finite and > 0"),
+        (lambda v: pooled_loss([], v, 0.0), "^nll_weight must be finite and >= 0"),
+        (lambda v: pooled_loss([], 0.0, v), "^nll must be finite and >= 0"),
+        (lambda v: ScoredHypothesis((word("a"),), v), "^log_score must be a finite number"),
+    ], ids=["start", "end", "stamp", "collar", "gap_merge", "target", "alpha",
+            "learning_rate", "nll_weight", "nll", "log_score"])
+    def test_times_and_weights_must_be_int_or_float(self, make, message, bad):
+        with pytest.raises(ValueError, match=message):
+            make(bad)
 
     def test_largest_times_accepted(self):
         assert SpeakerSegment("A", 0.0, 999999999999.999).span == (0, 999999999999999)

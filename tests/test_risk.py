@@ -305,7 +305,7 @@ class TestGradient:
 @pytest.fixture
 def align_calls(monkeypatch):
     """Hypotheses passed to ``align_counts`` or to the batched DP's entry
-    ``_counts_batch`` (which ``align_counts_batch`` calls) by any scdkit
+    ``_counts_batch`` (which ``hypothesis_errors`` reaches) by any scdkit
     module, in call order."""
     calls = []
     single, batch = alignment.align_counts, alignment._counts_batch
