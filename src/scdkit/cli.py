@@ -1,7 +1,9 @@
 """Command-line front end: align, risk, train-toy, score, segment.
 
-Results go to stdout (or --out); diagnostics go to stderr.  Exit codes:
-0 success, 1 usage error, 2 data error.
+Each subcommand returns its result text and a note for stderr; ``main``
+writes the result to stdout (or --out) only once it is complete, then the
+note.  On an error, nothing reaches stdout or --out, and the error line
+goes to stderr.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Each subcommand imports what only it runs: ``align`` and ``risk`` the
 alignment and risk modules, ``train-toy`` the trainer and numpy, so that
@@ -242,7 +244,13 @@ def _op_line(op, ref, hyp) -> str:
     return f"op {op.kind.value:<8} hyp[{op.hyp_index}]={hyp[op.hyp_index]}"
 
 
-def cmd_align(args) -> int:
+def _sections(sections) -> str:
+    """The ``risk`` and ``score`` tables: each (title, table) under an
+    ``== <title>`` line, with a blank line between sections."""
+    return "\n".join(f"== {title}\n{table}" for title, table in sections)
+
+
+def cmd_align(args) -> tuple[str, str]:
     from .alignment import align
 
     ref = tokenize_transcript(_read_text(args.ref))
@@ -257,12 +265,10 @@ def cmd_align(args) -> int:
                 for op in result.ops
             ],
         }
-        _emit(_SORTED_ENCODER.encode(obj) + "\n", args.out)
-        return 0
+        return _SORTED_ENCODER.encode(obj) + "\n", ""
     rows = [("cost_milli", str(result.cost_milli))]
     rows.extend((name, str(value)) for name, value in vars(result.counts).items())
-    _emit(_table(rows) + "".join(_op_line(op, ref, hyp) + "\n" for op in result.ops), args.out)
-    return 0
+    return _table(rows) + "".join(_op_line(op, ref, hyp) + "\n" for op in result.ops), ""
 
 
 def _top_hypotheses(nbest: NBest, n: int | None) -> NBest:
@@ -276,7 +282,7 @@ def _top_hypotheses(nbest: NBest, n: int | None) -> NBest:
     return NBest(nbest.utterance_id, nbest.reference, kept)
 
 
-def cmd_risk(args) -> int:
+def cmd_risk(args) -> tuple[str, str]:
     from .risk import expected_risk, pooled_loss
 
     records = parse_nbest(_read_text(args.nbest), source=args.nbest)
@@ -292,17 +298,12 @@ def cmd_risk(args) -> int:
             ],
             "batch": _report_object(batch),
         }
-        _emit(_SORTED_ENCODER.encode(obj) + "\n", args.out)
-        return 0
-    chunks = []
-    for uid, rep in per_utt:
-        chunks.append(f"== utterance {uid}\n" + write_report(rep, TABLE))
-    chunks.append("== batch\n" + write_report(batch, TABLE))
-    _emit("\n".join(chunks), args.out)
-    return 0
+        return _SORTED_ENCODER.encode(obj) + "\n", ""
+    titled = [(f"utterance {uid}", rep) for uid, rep in per_utt] + [("batch", batch)]
+    return _sections((title, write_report(rep, TABLE)) for title, rep in titled), ""
 
 
-def cmd_train_toy(args) -> int:
+def cmd_train_toy(args) -> tuple[str, str]:
     # The trainer imports numpy; the other subcommands start without it.
     from .tokens import seq_to_text
     from .trainer import TrainConfig, enumerate_candidates, st_vs_word_space, train
@@ -328,15 +329,12 @@ def cmd_train_toy(args) -> int:
         risk=_risk_config(args),
     )
     trace = train(space, config)
-    _emit(write_trace(trace), args.out)
     first, last = trace.initial, trace.final
-    print(
+    return write_trace(trace), (
         f"{space.utterance_id}: {len(space.candidates)} candidates, {args.steps} steps; "
         f"loss {first.loss_total:.6g} -> {last.loss_total:.6g}; "
         f"argmax {last.argmax_candidate} "
-        f"({seq_to_text(space.candidates[last.argmax_candidate])!r})",
-        file=sys.stderr)
-    return 0
+        f"({seq_to_text(space.candidates[last.argmax_candidate])!r})\n")
 
 
 def _score_rows(pr, seg, recall_mode: str):
@@ -349,7 +347,7 @@ def _score_rows(pr, seg, recall_mode: str):
                    for name, value in _segmentation_rows(seg)]
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> tuple[str, str]:
     annotations = parse_rttm(_read_text(args.ref), source=args.ref)
     stamps = parse_change_stamps(_read_text(args.hyp), source=args.hyp)
     known = {a.recording_id for a in annotations}
@@ -360,19 +358,14 @@ def cmd_score(args) -> int:
                 f"{args.hyp}: recording {hyp.recording_id!r} has no annotation in {args.ref}")
         by_id[hyp.recording_id] = hyp
 
-    pr_reports = []
-    seg_reports = []
     sections = []
     for ann in annotations:
         hyp = by_id.get(ann.recording_id, ChangeHypothesis(ann.recording_id, ()))
-        pr = score_changes(ann, hyp, collar=args.collar, gap_merge=args.gap_merge)
-        seg = purity_coverage(ann, hyp, gap_merge=args.gap_merge)
-        pr_reports.append(pr)
-        seg_reports.append(seg)
-        sections.append((ann.recording_id, pr, seg))
-
-    pooled_pr = pooled_precision_recall(pr_reports)
-    pooled_seg = pooled_segmentation(seg_reports)
+        sections.append((ann.recording_id,
+                         score_changes(ann, hyp, collar=args.collar, gap_merge=args.gap_merge),
+                         purity_coverage(ann, hyp, gap_merge=args.gap_merge)))
+    pooled_pr = pooled_precision_recall([pr for _, pr, _ in sections])
+    pooled_seg = pooled_segmentation([seg for _, _, seg in sections])
 
     if args.format == MACHINE:
         obj = {
@@ -390,37 +383,32 @@ def cmd_score(args) -> int:
                 "segmentation": _report_object(pooled_seg),
             },
         }
-        _emit(_SORTED_ENCODER.encode(obj) + "\n", args.out)
-        return 0
-
-    chunks = []
-    for rec_id, pr, seg in sections:
-        chunks.append(f"== {rec_id}\n{_table(_score_rows(pr, seg, args.recall_mode))}")
-    chunks.append(
-        f"== pooled ({len(sections)} recording{'s' if len(sections) != 1 else ''})\n"
-        + _table(_score_rows(pooled_pr, pooled_seg, args.recall_mode)))
-    _emit("\n".join(chunks), args.out)
-    return 0
+        return _SORTED_ENCODER.encode(obj) + "\n", ""
+    pooled = f"pooled ({len(sections)} recording{'s' if len(sections) != 1 else ''})"
+    return _sections((title, _table(_score_rows(pr, seg, args.recall_mode)))
+                     for title, pr, seg in [*sections, (pooled, pooled_pr, pooled_seg)]), ""
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args) -> tuple[str, str]:
     annotations = parse_rttm(_read_text(args.ref), source=args.ref)
     lines = []
     for ann in annotations:
         for start, end in segment_longform(ann, args.target):
             lines.append(f"{ann.recording_id}\t{format_seconds(start)}\t{format_seconds(end)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", ""
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, note = args.func(args)
+        _emit(text, args.out)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stderr.write(note)
+    return 0
 
 
 if __name__ == "__main__":

@@ -423,17 +423,13 @@ def _loss_rows(r: LossBreakdown) -> list[tuple[str, str]]:
     ]
 
 
-_REPORT_CLASSES = {
-    "precision_recall": PrecisionRecallReport,
-    "segmentation": SegmentationReport,
-    "loss": LossBreakdown,
+# Each report kind's class and table rows; the class of a report gives its kind.
+_REPORTS = {
+    "precision_recall": (PrecisionRecallReport, _precision_recall_rows),
+    "segmentation": (SegmentationReport, _segmentation_rows),
+    "loss": (LossBreakdown, _loss_rows),
 }
-_REPORT_KINDS = {cls: kind for kind, cls in _REPORT_CLASSES.items()}
-_TABLE_ROWS = {
-    PrecisionRecallReport: _precision_recall_rows,
-    SegmentationReport: _segmentation_rows,
-    LossBreakdown: _loss_rows,
-}
+_REPORT_KINDS = {cls: kind for kind, (cls, _) in _REPORTS.items()}
 
 
 # What a JSON value must be for each field annotation the report and trace
@@ -453,7 +449,7 @@ _VALUE_CHECKS = {
 # so per trace record is measurably slower.
 _FIELD_CHECKS = {cls: tuple((name, *_VALUE_CHECKS[cls.__annotations__[name]])
                             for name in cls._fields)
-                 for cls in (*_REPORT_CLASSES.values(), TrainStep)}
+                 for cls in (*_REPORT_KINDS, TrainStep)}
 
 
 def _from_json_object(cls, obj: dict):
@@ -484,15 +480,15 @@ def write_report(report, format: str = TABLE) -> str:
         return _SORTED_ENCODER.encode(obj) + "\n"
     if format != TABLE:
         raise ValueError(f"unknown report format {format!r}")
-    return _table(_TABLE_ROWS[type(report)](report))
+    return _table(_REPORTS[obj["kind"]][1](report))
 
 
 def _report(text: str):
     obj = _json_object(text)
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _REPORT_CLASSES:
+    if not isinstance(kind, str) or kind not in _REPORTS:
         raise DataFormatError(f"unknown report kind {kind!r}")
-    return _from_json_object(_REPORT_CLASSES[kind], obj)
+    return _from_json_object(_REPORTS[kind][0], obj)
 
 
 def read_report(text: str):

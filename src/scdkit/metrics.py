@@ -55,11 +55,14 @@ class _Record:
     raises AttributeError.  ``__post_init__`` runs after the fields are
     set; it may store derived attributes with ``object.__setattr__``, which
     stay out of equality and ``repr``.  Instances keep a ``__dict__``, so
-    ``vars()`` holds the fields in order, and a record pickles to the same
-    bytes as a frozen dataclass of the same name and fields.  No source is
-    generated, so defining a record loads neither ``dataclasses`` nor
-    ``inspect``.  Keyword arguments cost a lookup per field: hot call sites
-    pass them by position.
+    ``vars()`` holds the fields in order and then those derived attributes
+    (``SpeakerSegment.span``, ``ChangeHypothesis.stamps_ms``), which no
+    constructor takes: ``type(r)(**vars(r))`` rebuilds only a record that has
+    none, such as a report.  A record pickles to the same bytes as a frozen
+    dataclass of the same name and fields.  No source is generated, so
+    defining a record loads neither ``dataclasses`` nor ``inspect``.
+    Keyword arguments cost a lookup per field: hot call sites pass them by
+    position.
     """
 
     _fields: tuple[str, ...] = ()

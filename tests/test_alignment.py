@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from decimal import Decimal
 
@@ -352,6 +353,16 @@ class TestEditOp:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             EditOp("bogus", ref_index=0)
+
+    @pytest.mark.parametrize("kind, ref_index, hyp_index", [
+        (OpKind.MATCH, 0, None), (OpKind.WORD_SUB, None, 1),
+        (OpKind.INSERT, 0, 1), (OpKind.DELETE, 0, 1),
+    ], ids=["match", "word_sub", "insert", "delete"])
+    def test_rejects_bad_index_combination(self, kind, ref_index, hyp_index):
+        shown = f"EditOp(kind={kind!r}, ref_index={ref_index!r}, hyp_index={hyp_index!r})"
+        message = f"bad index combination for {kind}: {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EditOp(kind, ref_index, hyp_index)
 
 
 # the turn-marker costs the batched DP is checked at, in milli-units

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from scdkit import cli
 from scdkit.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -300,6 +302,9 @@ def test_malformed_rttm_exit_2(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("score", "--ref", str(FIXTURES / "multi.rttm"), "--hyp", str(FIXTURES / "multi.stamps")),
     ("train-toy", "--scenario", "st-vs-word", "--steps", "5"),
+    ("align", "--ref", str(FIXTURES / "ref_a.txt"), "--hyp", str(FIXTURES / "hyp_a.txt")),
+    ("risk", "--nbest", str(FIXTURES / "nbest_small.jsonl")),
+    ("segment", "--ref", str(FIXTURES / "fig1.rttm"), "--target", "12"),
 ])
 def test_unwritable_out_is_data_error_exit_2(tmp_path, argv):
     out = tmp_path / "no_such_dir" / "x"
@@ -307,6 +312,66 @@ def test_unwritable_out_is_data_error_exit_2(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
+
+
+# One data error per subcommand: (input files written to <DIR>, argv, the
+# error line after "error: "); <DIR> stands for the test's directory.
+DATA_ERRORS = {
+    "align": ({"ref.txt": "a <ST> b\n"},
+              ("align", "--ref", "<DIR>/ref.txt", "--hyp", str(FIXTURES / "hyp_a.txt")),
+              "word '<ST>' case-folds to the reserved turn marker '<st>'"),
+    "risk": ({"n.jsonl": '{"utterance_id": "u", "reference": "a"}\n'},
+             ("risk", "--nbest", "<DIR>/n.jsonl"),
+             "<DIR>/n.jsonl:1: missing field 'hypotheses'"),
+    "score": ({"hyp.stamps": "nosuchrec\t1.00\n"},
+              ("score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", "<DIR>/hyp.stamps"),
+              f"<DIR>/hyp.stamps: recording 'nosuchrec' has no annotation in "
+              f"{FIXTURES / 'fig1.rttm'}"),
+    "segment": ({"ref.rttm": "SPEAKER rec 1 0.00 1.00 <NA> <NA>\n"},
+                ("segment", "--ref", "<DIR>/ref.rttm", "--target", "12"),
+                "<DIR>/ref.rttm:1: expected 10 fields, got 7"),
+    "train-toy": ({"ref.txt": "\n"},
+                  ("train-toy", "--ref", "<DIR>/ref.txt"),
+                  "<DIR>/ref.txt: transcript is empty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATA_ERRORS))
+def test_data_error_leaves_existing_out_unchanged_exit_2(tmp_path, name):
+    files, argv, message = DATA_ERRORS[name]
+    for file, text in files.items():
+        (tmp_path / file).write_text(text)
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"an earlier result\n")
+    proc = run_cli(*(a.replace("<DIR>", str(tmp_path)) for a in argv), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message.replace('<DIR>', str(tmp_path))}\n"
+    assert out.read_bytes() == b"an earlier result\n"
+
+
+def test_only_main_writes_the_output():
+    # each cmd_* returns (stdout text, stderr note) and main writes both, so
+    # nothing reaches --out, stdout or stderr before the result is complete
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for cmd in commands:
+        returns = 0
+        for node in ast.walk(cmd):
+            where = f"{cmd.name} at line {getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Name):
+                assert node.id not in ("_emit", "print"), f"{where} names {node.id}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                name = f"{node.value.id}.{node.attr}"
+                assert name not in ("sys.stdout", "sys.stderr", "args.out"), f"{where} names {name}"
+            elif isinstance(node, ast.Return):
+                returns += 1
+                assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2, \
+                    f"{where} returns no (text, note) pair"
+        assert returns, f"{cmd.name} returns nothing"
 
 
 def test_byte_identical_across_runs(tmp_path):

@@ -196,6 +196,15 @@ class TestChangeStamps:
         with pytest.raises(DataFormatError, match="duplicate"):
             parse_change_stamps("r\t1.00\nr\t2.00\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("\t1.0", "f.stamps:1: empty recording id"),
+        (" \n\n", "f.stamps: no records found"),
+    ], ids=["empty-id", "blank"])
+    def test_rejected_file_names_where(self, text, message):
+        with pytest.raises(DataFormatError) as info:
+            parse_change_stamps(text, source="f.stamps")
+        assert str(info.value) == message
+
     def test_off_grid_stamp_names_line(self):
         # 3 decimals, but as a double it is off the millisecond grid; the
         # error names the text, not the double
@@ -364,6 +373,20 @@ class TestNBestFile:
                         '"hypotheses": [{"text": "a <ST>", "log_score": -1}]}', source="n.jsonl")
         assert str(info.value) == ("n.jsonl:2: word '<ST>' case-folds to the reserved "
                                    "turn marker '<st>'")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"utterance_id": "u", "reference": 5, "hypotheses": [{"text": "a", "log_score": 0}]}',
+         "n.jsonl:1: reference must be a string"),
+        ('{"utterance_id": "u", "reference": "a", "hypotheses": []}',
+         "n.jsonl:1: hypotheses must be a non-empty list"),
+        ('{"utterance_id": "u", "reference": "a", "hypotheses": [{"text": "a"}]}',
+         "n.jsonl:1: each hypothesis needs text and log_score"),
+        (" \n\n", "n.jsonl: no records found"),
+    ], ids=["non-string-reference", "no-hypotheses", "no-log-score", "blank"])
+    def test_rejected_file_names_where(self, text, message):
+        with pytest.raises(DataFormatError) as info:
+            parse_nbest(text, source="n.jsonl")
+        assert str(info.value) == message
 
     def test_non_string_text_rejected(self):
         with pytest.raises(DataFormatError) as info:
@@ -578,6 +601,10 @@ class TestReports:
         assert [type(read_report(t)) for t in (_SEG, _PR, _LOSS)] == [
             SegmentationReport, PrecisionRecallReport, LossBreakdown]
         assert read_trace_records(_STEP)[0].argmax_candidate == 0
+
+    def test_unsupported_report_type_rejected(self):
+        with pytest.raises(TypeError, match="^unsupported report type: object$"):
+            write_report(object())
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

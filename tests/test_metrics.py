@@ -366,6 +366,12 @@ class TestPooling:
         with pytest.raises(ValueError, match="coverage_num"):
             pooled_segmentation([s, off_grid])
 
+    @pytest.mark.parametrize("pool", [pooled_precision_recall, pooled_segmentation],
+                             ids=["precision_recall", "segmentation"])
+    def test_pooling_nothing_rejected(self, pool):
+        with pytest.raises(ValueError, match="^nothing to pool$"):
+            pool([])
+
     def test_pooled_segmentation_sums_durations(self):
         a1 = ann("r1", ("A", 0.0, 10.0), ("B", 10.0, 20.0))
         a2 = ann("r2", ("A", 0.0, 10.0))
@@ -518,6 +524,15 @@ class TestValidation:
             score_changes(FIG1, hyp, gap_merge=bad)
         with pytest.raises(ValueError):
             purity_coverage(FIG1, hyp, gap_merge=bad)
+
+    def test_negative_collar_rejected(self):
+        hyp = ChangeHypothesis("fig1", (10.2,))
+        with pytest.raises(ValueError, match=r"^collar must be >= 0, got -0\.25$"):
+            score_changes(FIG1, hyp, collar=-0.25)
+
+    def test_negative_segment_start_rejected(self):
+        with pytest.raises(ValueError, match=r"^segment start must be >= 0, got -1\.0$"):
+            SpeakerSegment("A", -1.0, 2.0)
 
     def test_negative_gap_merge_rejected(self):
         hyp = ChangeHypothesis("fig1", (10.2,))

@@ -60,6 +60,10 @@ class TestPerHypRisk:
         with pytest.raises(ValueError):
             per_hyp_risk((), toks("a"))
 
+    def test_empty_reference_rejected_by_turn_weighted_rows(self):
+        with pytest.raises(ValueError, match="^reference must contain at least one token$"):
+            hypothesis_errors((), (toks("a"),), RiskConfig(risk_kind=RiskKind.SCD_WEIGHTED))
+
     def test_scale_consistency(self):
         base = per_hyp_risk(RISK_REF, RISK_HYP, RiskConfig(alpha=1, beta=10, gamma=10))
         doubled = per_hyp_risk(RISK_REF, RISK_HYP, RiskConfig(alpha=2, beta=20, gamma=20))
@@ -104,6 +108,10 @@ class TestRecords:
     def test_utterance_id_must_be_a_non_empty_string(self, bad):
         with pytest.raises(ValueError, match="^utterance_id must be a non-empty string$"):
             NBest(bad, RISK_REF, (ScoredHypothesis(RISK_REF, 0.0),))
+
+    def test_nbest_without_hypotheses_rejected(self):
+        with pytest.raises(ValueError, match="^'u' has no hypotheses$"):
+            NBest("u", RISK_REF, ())
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
     def test_int_too_large_for_a_float_weight_is_a_value_error(self, name):
