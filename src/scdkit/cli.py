@@ -95,15 +95,15 @@ def _positive_float(text: str) -> float:
 
 def _seconds(parse):
     """The argument type ``parse`` that also rejects more than 3 decimal
-    places and values of 10**12 s or more."""
+    places and values of 10**12 s or more.  The value is its milliseconds
+    over 1000, so that equal values print alike: ``-0.0`` is ``0.0``."""
     def seconds(text: str) -> float:
         v = parse(text)
         try:
-            _ms(v, "seconds")
+            return _ms(v, "seconds") / 1000
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected below 10**12 s with at most 3 decimal places, got {text!r}") from None
-        return v
     return seconds
 
 

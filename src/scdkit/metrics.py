@@ -1,24 +1,26 @@
 """Interval-based speaker-change metrics: precision/recall and purity/coverage.
 
-Speaker changes are scored as time intervals, not points.  One sweep
-over the reference speaker annotation splits the annotated span into
-change intervals, the time not covered by exactly one speaker
-(multi-speaker overlap, gaps, and the zero-length instants where one
-speaker ends exactly as another begins), and their complement, the
-mono-speaker ranges, which a zero-length change instant splits in two.
-A prediction is correct when its collar-widened window touches any
-change interval; a change interval is recalled when at least one
-prediction matches it.
+Speaker changes are scored as time intervals, not points.  One merge of
+the sorted starts and ends of the reference speaker coverage splits the
+annotated span into change intervals, the time not covered by exactly
+one speaker (multi-speaker overlap, gaps, and the zero-length instants
+where one speaker ends exactly as another begins), and their complement,
+the mono-speaker ranges, which a zero-length change instant splits in two.
+The kept predictions are a slice of the sorted stamps.  A prediction is
+correct when its collar-widened window touches any change interval; a
+change interval is recalled when at least one prediction matches it.
 
 Purity and coverage score the mono-speaker side: each reference unit
 (one speaker's contiguous coverage) is credited with its best-overlapping
 hypothesis segment (the span cut at the predicted change points) and
-vice versa.  Both come from one pass over the pairs with positive
-overlap.  The hypothesis segments partition the span, so the purity
-denominator is the span's length.
+vice versa.  Both read the cut bounds directly, in one pass over the
+units: a unit inside one segment overlaps it by its own length, and any
+other overlaps its first and last segments partially and the ones
+between whole.  The hypothesis segments partition the span, so the
+purity denominator is the span's length.
 
-All three computations are sorted sweeps or bisections that only visit
-pairs that can match or overlap, so scoring S segments against P
+All three computations are sorted merges, slices or bisections that only
+visit pairs that can match or overlap, so scoring S segments against P
 predictions takes O((S+P) log(S+P)) time for a bounded number of
 concurrent speakers.
 
@@ -329,13 +331,19 @@ def _union(spans: Iterable[Span], gap_ms: int = 0) -> tuple[Span, ...]:
     Overlapping or touching spans merge, which absorbs a zero-length point
     lying inside or on the edge of another span; a lone point is kept.
     """
+    spans = sorted(spans)
+    if not spans:
+        return ()
     merged: list[Span] = []
-    for start, end in sorted(spans):
-        if merged and start - merged[-1][1] <= gap_ms:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
+    run_start, run_end = spans[0]
+    for start, end in spans:
+        if start - run_end <= gap_ms:
+            if end > run_end:
+                run_end = end
         else:
-            merged.append((start, end))
+            merged.append((run_start, run_end))
+            run_start, run_end = start, end
+    merged.append((run_start, run_end))
     return tuple(merged)
 
 
@@ -364,38 +372,56 @@ def _scored_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
 def _change_runs(coverage: Coverage) -> tuple[Span, tuple[Span, ...]]:
     """The annotated span and its change intervals, in ms.
 
-    One sweep over the sorted boundaries keeps a running count of open
-    spans.  Each speaker's coverage is a union, so its spans neither
-    overlap nor touch and the count is the number of speakers: at a
-    boundary it is the spans still open plus those starting there, and on
-    the open gap after it (none after the last) it loses those ending
-    there.  A change interval opens at the first boundary whose point or
-    following gap does not have exactly one speaker, and closes at the
-    first boundary from there whose following gap has exactly one: the
-    point of a boundary inside a change interval has exactly one speaker
-    only when that gap does too.
+    One merge of the sorted start and end lists visits each boundary once
+    and keeps a running count of open spans.  Each speaker's coverage is a
+    union, so its spans neither overlap nor touch and the count is the
+    number of speakers: at a boundary it is the spans still open plus
+    those starting there, and on the open gap after it (none after the
+    last) it loses those ending there.  A change interval opens at the
+    first boundary whose point or following gap does not have exactly one
+    speaker, and closes at the first boundary from there whose following
+    gap has exactly one: the point of a boundary inside a change interval
+    has exactly one speaker only when that gap does too.
     """
-    starts: dict[int, int] = {}
-    ends: dict[int, int] = {}
+    starts: list[int] = []
+    ends: list[int] = []
     for spans in coverage.values():
-        for start, end in spans:
-            starts[start] = starts.get(start, 0) + 1
-            ends[end] = ends.get(end, 0) + 1
-    bounds = sorted(starts.keys() | ends.keys())
-    t_max = bounds[-1]
+        span_starts, span_ends = zip(*spans)
+        starts += span_starts
+        ends += span_ends
+    starts.sort()
+    ends.sort()
+    n_ends = len(ends)
+    t_min = starts[0]
+    t_max = ends[-1]
+    # a sentinel past every boundary ends each list, so no index check is needed
+    starts.append(t_max + 1)
+    ends.append(t_max + 1)
     runs: list[Span] = []
     run_start: int | None = None
     active = 0
-    for b in bounds:
-        at_point = active + starts.get(b, 0)
-        active = at_point - ends.get(b, 0)
-        gap_mono = active == 1 or b == t_max
+    i = j = 0
+    start = t_min
+    end = ends[0]
+    while j < n_ends:  # the last boundary is the last end
+        b = start if start < end else end
+        at_point = active
+        while start == b:
+            at_point += 1
+            i += 1
+            start = starts[i]
+        active = at_point
+        while end == b:
+            active -= 1
+            j += 1
+            end = ends[j]
+        gap_mono = active == 1 or j == n_ends
         if run_start is None and (at_point != 1 or not gap_mono):
             run_start = b
         if run_start is not None and gap_mono:
             runs.append((run_start, b))
             run_start = None
-    return (bounds[0], t_max), tuple(runs)
+    return (t_min, t_max), tuple(runs)
 
 
 def mono_speaker_ranges(annotation: Annotation) -> tuple[Span, ...]:
@@ -428,7 +454,8 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     if collar_ms < 0:
         raise ValueError(f"collar must be >= 0, got {collar}")
     (t_min, t_max), intervals = _change_runs(coverage)
-    kept = [t for t in hypothesis.stamps_ms if t_min <= t <= t_max]
+    stamps = hypothesis.stamps_ms
+    kept = stamps[bisect_left(stamps, t_min):bisect_right(stamps, t_max)]
 
     # The change intervals are sorted and disjoint, so those touching the
     # window [t - collar, t + collar] form one run: from the first ending at
@@ -457,17 +484,9 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
         n_hit=sum(hit),
         hit_ms=sum(end - start for (start, end), h in zip(intervals, hit) if h),
         total_ms=sum(end - start for start, end in intervals),
-        collar=collar,
+        # from the ms, so that equal collars (1 and 1.0, -0.0 and 0) report alike
+        collar=collar_ms / 1000,
     )
-
-
-def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> list[Span]:
-    """The annotated span cut at the kept prediction timestamps, in ms."""
-    t_min = min(spans[0][0] for spans in coverage.values())
-    t_max = max(spans[-1][1] for spans in coverage.values())
-    cuts = [t for t in hypothesis.stamps_ms if t_min < t < t_max]
-    bounds = [t_min] + cuts + [t_max]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _segmentation_report(pur_num: int, pur_den: int,
@@ -485,32 +504,44 @@ def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,
                     gap_merge: float = 0.0) -> SegmentationReport:
     """Best-overlap segmentation scores between reference and hypothesis segments."""
     coverage = _scored_coverage(annotation, hypothesis, gap_merge)
-    hyps = hypothesis_segments(coverage, hypothesis)
+    t_min = min([spans[0][0] for spans in coverage.values()])
+    t_max = max([spans[-1][1] for spans in coverage.values()])
+    # The hypothesis segments are the pieces between consecutive bounds: the
+    # span cut at the distinct stamps strictly inside it, none of zero length.
+    bounds = [t_min, *[t for t in hypothesis.stamps_ms if t_min < t < t_max], t_max]
 
-    # One pass over the pairs with positive overlap: every other pair
-    # overlaps by 0, the value each best starts from.  The hypothesis
-    # segments partition the span, so each reference unit (one speaker's
-    # coverage span) overlaps one run of them, and their lengths sum to the
-    # span, the purity denominator.
-    hyp_starts = [start for start, _ in hyps]
-    hyp_ends = [end for _, end in hyps]
-    best = [0] * len(hyps)
+    # Each reference unit (one speaker's coverage span) overlaps one run of
+    # segments, from the one holding its start to the one holding its end.
+    # A unit inside one segment overlaps it by its own length; otherwise its
+    # first and last overlaps are partial and the segments between lie
+    # inside it, each overlapped by its whole length.  Every other pair
+    # overlaps by 0, the value each best starts from.  The segments
+    # partition the span, the purity denominator.
+    best = [0] * (len(bounds) - 1)
     cov_num = 0
     cov_den = 0
     for spans in coverage.values():
         for start, end in spans:
-            top = 0
-            for i in range(bisect_right(hyp_ends, start), bisect_left(hyp_starts, end)):
-                h_start = hyp_starts[i]
-                h_end = hyp_ends[i]
-                overlap = (end if end < h_end else h_end) - (start if start > h_start else h_start)
+            first = bisect_right(bounds, start) - 1
+            cut = bounds[first + 1]
+            top = (end if end < cut else cut) - start
+            if top > best[first]:
+                best[first] = top
+            if end > cut:
+                last = bisect_left(bounds, end, first + 2) - 1
+                overlap = end - bounds[last]
+                if overlap > best[last]:
+                    best[last] = overlap
                 if overlap > top:
                     top = overlap
-                if overlap > best[i]:
+                for i in range(first + 1, last):
+                    overlap = bounds[i + 1] - bounds[i]
                     best[i] = overlap
+                    if overlap > top:
+                        top = overlap
             cov_num += top
             cov_den += end - start
-    return _segmentation_report(sum(best), hyp_ends[-1] - hyp_starts[0], cov_num, cov_den)
+    return _segmentation_report(sum(best), t_max - t_min, cov_num, cov_den)
 
 
 def pooled_precision_recall(reports: Sequence[PrecisionRecallReport]) -> PrecisionRecallReport:

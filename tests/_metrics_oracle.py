@@ -24,7 +24,6 @@ from scdkit.metrics import (
     SpeakerSegment,
     _ms,
     f1_score,
-    hypothesis_segments,
     speaker_coverage,
 )
 
@@ -157,6 +156,17 @@ def reference_units(coverage: Coverage) -> List[Tuple[str, Span]]:
     units = [(speaker, span) for speaker, spans in coverage.items() for span in spans]
     units.sort(key=lambda u: (u[1], u[0]))
     return units
+
+
+def hypothesis_segments(coverage: Coverage, hypothesis: ChangeHypothesis) -> List[Span]:
+    """The annotated span cut at the stamps strictly inside it, with no
+    zero-length pieces: each cut point and the span's start opens the
+    piece that ends at the nearest greater one of them or the span's end."""
+    t_min = min(start for spans in coverage.values() for start, _ in spans)
+    t_max = max(end for spans in coverage.values() for _, end in spans)
+    cuts = {round(t * 1000) for t in hypothesis.timestamps}
+    points = {t_min, t_max} | {t for t in cuts if t_min < t < t_max}
+    return sorted((a, min(b for b in points if b > a)) for a in points if a < t_max)
 
 
 def purity_coverage(annotation: Annotation, hypothesis: ChangeHypothesis,

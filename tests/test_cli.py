@@ -39,6 +39,16 @@ def test_score_machine_format(tmp_path):
     assert obj["recordings"][0]["recording_id"] == "fig1"
 
 
+def test_negative_zero_collar_prints_as_zero(capsys):
+    args = ["score", "--ref", str(FIXTURES / "fig1.rttm"), "--hyp", str(FIXTURES / "fig1.stamps"),
+            "--format", "machine", "--collar"]
+    assert main([*args, "0"]) == 0
+    zero = capsys.readouterr().out
+    assert main([*args, "-0.0"]) == 0
+    assert capsys.readouterr().out == zero
+    assert "-0.0" not in zero
+
+
 def test_score_recall_mode_duration():
     proc = run_cli("score", "--ref", str(FIXTURES / "fig1.rttm"),
                    "--hyp", str(FIXTURES / "fig1.stamps"), "--recall-mode", "duration",

@@ -587,6 +587,13 @@ class TestReports:
         r = score_changes(FIG1, ChangeHypothesis("fig1", (10.2, 15.0, 19.5)), collar=0.25)
         assert read_report(write_report(r, MACHINE)) == r
 
+    @pytest.mark.parametrize("fmt", [MACHINE, TABLE])
+    def test_equal_collars_write_alike(self, fmt):
+        hyp = ChangeHypothesis("fig1", (10.2, 15.0, 19.5))
+        as_int = score_changes(FIG1, hyp, collar=1)
+        assert write_report(as_int, fmt) == write_report(score_changes(FIG1, hyp, collar=1.0), fmt)
+        assert '"collar": 1.0' in write_report(as_int, MACHINE)
+
     def test_machine_round_trip_segmentation(self):
         r = purity_coverage(FIG1, ChangeHypothesis("fig1", (10.2, 19.5)))
         assert read_report(write_report(r, MACHINE)) == r

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _metrics_oracle import hypothesis_segments
 from _scenarios import random_annotation, random_hypothesis, random_partition_annotation
 from scdkit import dataio, metrics
 from scdkit.dataio import segment_longform
@@ -15,7 +16,6 @@ from scdkit.metrics import (
     SpeakerSegment,
     change_intervals,
     f1_score,
-    hypothesis_segments,
     mono_speaker_ranges,
     pooled_precision_recall,
     pooled_segmentation,
@@ -289,9 +289,10 @@ class TestPurityCoverage:
         assert (r.coverage_num, r.coverage_den, r.coverage) == (20.0, 20.0, 1.0)
 
     def test_cut_at_span_edges_is_ignored(self):
-        a = ann("r", ("A", 0.0, 10.0))
-        segs = hypothesis_segments(speaker_coverage(a), ChangeHypothesis("r", (0.0, 10.0)))
-        assert segs == [(0, 10000)]
+        a = ann("r", ("A", 0.0, 4.0), ("B", 6.0, 10.0))
+        edges = purity_coverage(a, ChangeHypothesis("r", (0.0, 10.0)))
+        assert edges == purity_coverage(a, ChangeHypothesis("r", ()))
+        assert (edges.purity_num, edges.purity_den) == (4.0, 10.0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):

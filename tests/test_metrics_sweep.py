@@ -12,7 +12,6 @@ from scdkit.metrics import (
     ChangeHypothesis,
     SpeakerSegment,
     change_intervals,
-    hypothesis_segments,
     mono_speaker_ranges,
     purity_coverage,
     score_changes,
@@ -51,8 +50,10 @@ def grid_annotation(rng, rec_id="rec"):
 
 def grid_hypothesis(rng, ann, collar_ms, rec_id="rec"):
     """Predictions on a millisecond grid: random ones reaching outside the
-    span, the span edges, and ones exactly a collar away from a change
-    interval's endpoints."""
+    span, the span edges, ones exactly a collar away from a change
+    interval's endpoints, and ones on segment starts and ends, which cut
+    the span on a reference unit's edge.  Each kind is drawn after the
+    ones before it, so adding a kind keeps every seed's earlier stamps."""
     lo, hi = round(ann.t_min * 1000), round(ann.t_max * 1000)
     stamps = [rng.randint(lo - 2000, hi + 2000) for _ in range(rng.randint(0, 12))]
     stamps += rng.sample([lo, hi], rng.randint(0, 2))
@@ -61,12 +62,28 @@ def grid_hypothesis(rng, ann, collar_ms, rec_id="rec"):
             stamps.append(start - collar_ms)
         if rng.random() < 0.5:
             stamps.append(end + collar_ms)
+    for seg in ann.segments:
+        stamps += [t for t in seg.span if rng.random() < 0.3]
     return ChangeHypothesis(rec_id, tuple(t / 1000 for t in stamps))
 
 
 def assert_identical(got, want):
     assert got == want
     assert repr(got) == repr(want)  # also tells 0.0 from -0.0
+
+
+def assert_matches_oracle(ann, hyp, collar_ms, gap_merge, context):
+    merged = oracle.merge_speaker_gaps(ann, gap_merge)
+    context = f"{context}: {ann} {hyp} collar_ms={collar_ms} gap_merge={gap_merge}"
+
+    assert speaker_coverage(ann, round(gap_merge * 1000)) == speaker_coverage(merged), context
+    assert change_intervals(merged) == oracle.change_intervals(merged), context
+    assert mono_speaker_ranges(merged) == oracle.mono_speaker_ranges(merged), context
+    assert_identical(
+        score_changes(ann, hyp, collar=collar_ms / 1000, gap_merge=gap_merge),
+        oracle.score_changes(ann, hyp, collar=collar_ms / 1000, gap_merge=gap_merge))
+    assert_identical(purity_coverage(ann, hyp, gap_merge=gap_merge),
+                     oracle.purity_coverage(ann, hyp, gap_merge=gap_merge))
 
 
 CASES_PER_BLOCK = 100
@@ -81,17 +98,7 @@ def test_sweeps_match_quadratic_oracle_exactly(block):
         collar_ms = rng.choice([0, 250, rng.randint(0, 1500)])
         gap_merge = rng.choice([0.0, rng.randint(1, 2000) / 1000])
         hyp = grid_hypothesis(rng, ann, collar_ms)
-        merged = oracle.merge_speaker_gaps(ann, gap_merge)
-        context = f"seed {seed}: {ann} {hyp} collar_ms={collar_ms} gap_merge={gap_merge}"
-
-        assert speaker_coverage(ann, round(gap_merge * 1000)) == speaker_coverage(merged), context
-        assert change_intervals(merged) == oracle.change_intervals(merged), context
-        assert mono_speaker_ranges(merged) == oracle.mono_speaker_ranges(merged), context
-        assert_identical(
-            score_changes(ann, hyp, collar=collar_ms / 1000, gap_merge=gap_merge),
-            oracle.score_changes(ann, hyp, collar=collar_ms / 1000, gap_merge=gap_merge))
-        assert_identical(purity_coverage(ann, hyp, gap_merge=gap_merge),
-                         oracle.purity_coverage(ann, hyp, gap_merge=gap_merge))
+        assert_matches_oracle(ann, hyp, collar_ms, gap_merge, f"seed {seed}")
 
 
 def longform(rng, n_segments=2000, n_speakers=4):
@@ -112,6 +119,13 @@ def longform(rng, n_segments=2000, n_speakers=4):
     return Annotation("long", tuple(segs)), ChangeHypothesis("long", tuple(stamps))
 
 
+def test_longform_matches_quadratic_oracle_exactly():
+    # hundreds of boundaries to merge and of units to place among the cut
+    # bounds, where a grid case has at most 14 segments
+    ann, hyp = longform(random.Random(17), 300)
+    assert_matches_oracle(ann, hyp, 250, 0.0, "longform seed 17")
+
+
 def counting(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that counts its calls."""
     calls = [0]
@@ -128,7 +142,7 @@ def counting(monkeypatch, owner, name):
 def test_purity_coverage_pairs_and_searches_are_linear(monkeypatch):
     ann, hyp = longform(random.Random(11))
     n_refs = len(oracle.reference_units(speaker_coverage(ann)))
-    n_hyps = len(hypothesis_segments(speaker_coverage(ann), hyp))
+    n_hyps = len(oracle.hypothesis_segments(speaker_coverage(ann), hyp))
     # each bisect is one search of the hypothesis segments, and each range
     # is one reference unit's run of them, whose length is the pairs visited
     searches = [counting(monkeypatch, metrics, "bisect_left"),
