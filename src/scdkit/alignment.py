@@ -20,10 +20,13 @@ adds 0 and every offset is <= 0.  Both hand back the final (cost_milli,
 turn errors), from which ``_counts`` reads all four counts.  The
 pure-Python execution, ``_key_rows``, aligns one pair and is what ``align``
 and ``align_counts`` run.  ``_batch_keys`` aligns a whole N-best list
-(``risk.hypothesis_errors``) in one numpy DP of three in-place calls per
-reference row, but only when numpy is already loaded: this module never
-imports it, so ``scd risk``, ``score``, ``align`` and ``segment`` start
-without it (the import costs more than the batch saves on one such run).
+(``risk.hypothesis_errors``) in one numpy DP on one flat buffer of
+hypothesis rows, where each reference row is one flat add, a sparse match
+fix-up, one flat minimum and a prefix minimum per hypothesis; a blocking
+step into each column 0 keeps the rows apart.  It runs only when numpy is
+already loaded: this module never imports it, so ``scd risk``, ``score``,
+``align`` and ``segment`` start without it (the import costs more than the
+batch saves on one such run).
 Where numpy is not loaded, or a key could reach 2**62 and int64 would not
 be exact, each hypothesis gets the pure execution.  Both give identical
 results, so the counts never depend on which one ran, and both equal the
@@ -200,13 +203,24 @@ def _batch_keys(ref_text: Sequence[str | None], hyp_texts: Sequence[Sequence[str
     """``_key_rows``'s final (cost_milli, turn errors) of each hypothesis, in one numpy DP.
 
     It runs ``_key_rows``'s offset-key recurrence on every hypothesis at
-    once.  A delete adds 0 and the insert chain is a plain prefix minimum,
-    so each reference row is three in-place calls on (H, W+1)-sized
-    buffers: add the diagonal steps, take the minimum with the row above,
-    accumulate the minimum along the row.  Deleting everything and then
-    inserting everything bounds every key, so ``q <= 0``; a key is >= 0, so
-    ``q >= -(ins_j + D_i)``, which the 2**62 guard bounds.  ``ins_m`` and
-    ``D_n`` are added back once, at the end, in Python ints.
+    once, on one C-contiguous (H, W+1) buffer ``q``: hypothesis h's row is
+    ``q[h]``, its columns past its own length padding, and ``flat`` is its
+    1-D view.  A delete adds 0 and the insert chain is a plain prefix
+    minimum, so each reference row is at most four in-place calls: one flat
+    add of the diagonal steps to ``flat[:-1]``, the match fix-up
+    ``diag[idx] -= word_step`` at the flat positions ``idx`` of that word
+    in the hypotheses (none for a turn or a word no hypothesis holds), one
+    flat minimum with ``flat[1:]`` (the row above), and the prefix minimum
+    along each hypothesis's row.
+
+    Deleting everything and then inserting everything bounds every key, so
+    ``q <= 0``; a key is >= 0, so ``q >= -(ins_j + D_i) >= -span``, where
+    ``span`` is the bound the 2**62 guard checks.  In the flat view, each
+    hypothesis's last column sits just before the next one's column 0; the
+    step into column 0 is ``span``, so that diagonal is >= 0 and column 0
+    keeps its 0: no value carries from one hypothesis into the next, and
+    ``span < 2**62`` keeps the sum exact.  ``ins_m`` and ``D_n`` are added
+    back once, at the end, in Python ints.
 
     None when numpy is not loaded, or when a key could reach 2**62, where
     the int64 DP would not be exact.
@@ -217,34 +231,41 @@ def _batch_keys(ref_text: Sequence[str | None], hyp_texts: Sequence[Sequence[str
     width = max(lengths, default=0)
     # one common scale; turn errors <= n + width < scale still, so key order is unchanged
     scale = n + width + 1
-    if np is None or (n + width) * (max(st_cost, WORD_COST_MILLI) * scale + 1) >= _BATCH_KEY_LIMIT:
+    span = (n + width) * (max(st_cost, WORD_COST_MILLI) * scale + 1)
+    if np is None or span >= _BATCH_KEY_LIMIT:
         return None
     word_step = WORD_COST_MILLI * scale
     turn_step = st_cost * scale + 1
-    # hypothesis tokens as codes: a word's vocabulary index, -1 the turn, -2 padding
-    vocab = {}
-    codes = np.full((len(hyp_texts), width), -2, dtype=np.int64)
-    for row, hyp in zip(codes, hyp_texts):
-        row[:len(hyp)] = [-1 if h is None else vocab.setdefault(h, len(vocab)) for h in hyp]
+    # flat positions of each hypothesis token, keyed by its text (None the turn)
+    cols = width + 1
+    positions = {}
+    for start, hyp in zip(range(0, len(hyp_texts) * cols, cols), hyp_texts):
+        for p, h in enumerate(hyp, start):
+            positions.setdefault(h, []).append(p)
+    turns = positions.pop(None, [])
+    matches = {r: np.array(positions[r]) for r in positions.keys() & set(ref_text)}
     # Diagonal steps minus the delete and the insert step, so a delete then an
     # insert adds 0: a forbidden substitution gets that 0 and never wins.
-    # Padding steps like a word; no real column reads a padded one.
-    turn_col = codes == -1
-    word_match = -2 * word_step
-    word_sub = np.where(turn_col, 0, -word_step)
-    turn_row = np.where(turn_col, -2 * turn_step, 0)
-    q = np.zeros((len(hyp_texts), width + 1), dtype=np.int64)
-    diag = np.empty((len(hyp_texts), width), dtype=np.int64)
+    # Padding steps like a word; no real column reads a padded one.  The step
+    # from a last column into the next hypothesis's column 0 is the block.
+    word_row = np.full(len(hyp_texts) * cols, -word_step, dtype=np.int64)
+    turn_row = np.zeros(len(hyp_texts) * cols, dtype=np.int64)
+    word_row[turns] = 0
+    turn_row[turns] = -2 * turn_step
+    word_row[width::cols] = turn_row[width::cols] = span
+    word_row, turn_row = word_row[:-1], turn_row[:-1]
+    q = np.zeros((len(hyp_texts), cols), dtype=np.int64)
+    flat = q.reshape(-1)
+    up, up_left = flat[1:], flat[:-1]
+    diag = np.empty_like(word_row)
     for r in ref_text:
-        if r is None:
-            step = turn_row
-        else:
-            code = vocab.get(r)
-            step = word_sub if code is None else np.where(codes == code, word_match, word_sub)
         # match or substitute, then delete; on equal text the match is the
         # minimum, as in _key_rows
-        np.add(q[:, :-1], step, out=diag)
-        np.minimum(q[:, 1:], diag, out=q[:, 1:])
+        np.add(up_left, turn_row if r is None else word_row, out=diag)
+        idx = matches.get(r)
+        if idx is not None:
+            diag[idx] -= word_step
+        np.minimum(up, diag, out=up)
         # the insert chain
         np.minimum.accumulate(q, axis=1, out=q)
     deletes = _chain(ref_text, word_step, turn_step)

@@ -461,19 +461,18 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
     # window [t - collar, t + collar] form one run: from the first ending at
     # or after t - collar to the last starting at or before t + collar.
     # Kept predictions are sorted, so the runs only move right and each
-    # interval is marked hit at most once.
+    # interval is marked hit at most once, and counted as it is marked.
     starts = [start for start, _ in intervals]
     ends = [end for _, end in intervals]
-    hit = [False] * len(intervals)
-    n_correct = 0
-    marked = 0
+    n_correct = n_hit = hit_ms = marked = 0
     for t in kept:
         first = bisect_left(ends, t - collar_ms)
         last = bisect_right(starts, t + collar_ms)
         if first < last:
             n_correct += 1
             for idx in range(max(first, marked), last):
-                hit[idx] = True
+                n_hit += 1
+                hit_ms += ends[idx] - starts[idx]
             marked = last
 
     return PrecisionRecallReport.from_counts(
@@ -481,9 +480,9 @@ def score_changes(annotation: Annotation, hypothesis: ChangeHypothesis,
         n_dropped=len(hypothesis.timestamps) - len(kept),
         n_correct=n_correct,
         n_intervals=len(intervals),
-        n_hit=sum(hit),
-        hit_ms=sum(end - start for (start, end), h in zip(intervals, hit) if h),
-        total_ms=sum(end - start for start, end in intervals),
+        n_hit=n_hit,
+        hit_ms=hit_ms,
+        total_ms=sum(ends) - sum(starts),
         # from the ms, so that equal collars (1 and 1.0, -0.0 and 0) report alike
         collar=collar_ms / 1000,
     )

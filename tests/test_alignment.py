@@ -29,6 +29,7 @@ from scdkit.alignment import (
 )
 from scdkit.risk import RiskConfig, RiskKind, hypothesis_errors
 from scdkit.tokens import SPEAKER_TURN, word
+from scdkit.trainer import enumerate_candidates
 
 
 def toks(text):
@@ -474,6 +475,60 @@ def test_batch_keys_equal_key_rows_empty_sides(st_cost):
         assert_batch_equals_pure(ref, [], costs)
 
 
+def wide_nbest_list(rng, with_empty):
+    """A reference of 3-60 tokens and 9-64 hypotheses of 0-60 tokens in random
+    order, with a 60-token hypothesis just before an empty one (``with_empty``)
+    and just before a one-token one.  The reference holds "all", a word every
+    non-empty hypothesis holds (every hypothesis, without ``with_empty``),
+    "none", a word no hypothesis holds, and "rep", a word some hypotheses
+    hold several times."""
+    def tok():
+        return SPEAKER_TURN if rng.random() < 0.1 else word(rng.choice("abcdefgh"))
+
+    def hyp(length):
+        tokens = [tok() for _ in range(length)]
+        for at in rng.sample(range(length), min(length, rng.choice([0, 0, 1, 3]))):
+            tokens[at] = word("rep")
+        tokens[rng.randrange(length)] = word("all")
+        return tuple(tokens)
+
+    ref = [tok() for _ in range(rng.randint(0, 57))]
+    for w in ("all", "none", "rep"):
+        ref.insert(rng.randint(0, len(ref)), word(w))
+    lengths = [rng.randint(0 if with_empty else 1, 60) for _ in range(rng.randint(5, 60))]
+    hyps = [hyp(length) if length else () for length in lengths]
+    rng.shuffle(hyps)
+    at = rng.randint(0, len(hyps))
+    hyps[at:at] = [hyp(60), () if with_empty else hyp(1), hyp(60), hyp(1)]
+    return tuple(ref), hyps
+
+
+def assert_batch_keys_equal_key_rows(ref_text, hyp_texts, st_cost):
+    assert _batch_keys(ref_text, hyp_texts, st_cost) == [
+        _key_rows(ref_text, h, st_cost, keep_rows=False)[1] for h in hyp_texts]
+
+
+@pytest.mark.parametrize("st_cost", BATCH_COSTS)
+def test_batch_keys_equal_key_rows_wide(st_cost):
+    # 30 lists per cost, half with empty hypotheses; a hypothesis's last column
+    # sits just before the next one's column 0 in the batch's flat buffer, so
+    # a long hypothesis before a short one shows any value carried across
+    rng = random.Random(f"batch-dp-wide-{st_cost}")
+    for i in range(30):
+        ref, hyps = wide_nbest_list(rng, with_empty=i % 2 == 0)
+        assert 9 <= len(hyps) <= 64 and max(map(len, hyps)) == 60
+        assert_batch_keys_equal_key_rows(texts(ref), [texts(h) for h in hyps], st_cost)
+
+
+@pytest.mark.parametrize("st_cost", BATCH_COSTS)
+def test_batch_keys_equal_key_rows_on_an_enumerated_space(st_cost):
+    # the trainer's one aligning call: a 256-candidate space within two edits
+    ref = toks("a b <st> c d e f g")
+    space = enumerate_candidates(ref, edit_budget=2, vocab=["a", "x", "y"], seed=3)
+    assert len(space.candidates) == 256
+    assert_batch_keys_equal_key_rows(texts(ref), [texts(h) for h in space.candidates], st_cost)
+
+
 # (reference, hypotheses) run at the largest turn cost the batch accepts:
 # unequal lengths give padding columns, and turn rows against word columns and
 # word rows against turn columns take the forbidden-substitution step
@@ -483,6 +538,10 @@ GUARD_EDGE_LISTS = [
     ("<st> <st> <st>", ["<st>", "<st> <st> <st> <st> <st>", "a", "a <st> b <st> c <st>"]),
     ("a b <st> c d", ["<st> <st> <st> <st> <st> <st> <st> <st>", "d c <st> b a", "a"]),
     ("a", ["<st> <st> <st> <st> <st> <st> <st> <st> <st> <st> <st> <st>"]),
+    # nine hypotheses of unequal lengths: each blocked column-0 cell follows a
+    # last column that is padding, or a real token of the longest hypothesis
+    ("a <st> b c <st> a", ["a b", "", "<st> a <st> b c <st> a d", "c", "<st> <st>",
+                           "a a a a a a a a a", "b <st> c", "", "d <st> a b"]),
 ]
 
 
